@@ -680,7 +680,7 @@ struct AppendBenchResult {
 };
 
 // Simulated latency of PmLogDevice appends against a mirrored NPMU pair:
-// `batch` records of `record_bytes` per AppendBatch call, sequential
+// `batch` records of `record_bytes` per Append call, sequential
 // (each durable before the next starts), with the piggyback ablation
 // knob. piggyback=false reproduces the seed's two serialized RDMA rounds
 // per append.
@@ -714,11 +714,11 @@ AppendBenchResult RunPmAppendBench(bool piggyback, int appends,
         auto open = co_await dev.Open(self);
         if (!open.ok()) co_return;
         for (int i = 0; i < appends; ++i) {
-          std::vector<std::vector<std::byte>> records(
-              static_cast<std::size_t>(batch),
-              std::vector<std::byte>(record_bytes, std::byte{1}));
+          // One flush: the batch's records back-to-back.
+          std::vector<std::byte> records(
+              static_cast<std::size_t>(batch) * record_bytes, std::byte{1});
           const sim::SimTime t0 = self.sim().Now();
-          (void)co_await dev.AppendBatch(self, std::move(records));
+          (void)co_await dev.Append(self, std::move(records));
           out.latency.Record(
               static_cast<std::uint64_t>((self.sim().Now() - t0).ns));
         }

@@ -100,19 +100,13 @@ net::Endpoint::CommandResult DoVerifyScan(sim::Simulation& sim,
     // by the host (epoch == frame count), so the device just returns the
     // frame table; a zero length word or a frame running past the window
     // ends the walk exactly like the host-side stripe scan.
-    std::vector<StripeFrame> frames;
+    const std::vector<StripeFrame> frames = WalkStripeFrames(image);
     std::uint64_t pos = 0;
-    while (pos + 12 <= limit) {
-      const std::uint64_t goff = LoadU64(base + pos);
-      const std::uint32_t len = LoadU32(base + pos + 8);
-      if (len == 0 || pos + 12 + len > limit) break;
-      frames.push_back({goff, len});
-      pos += 12 + len;
-    }
     s.PutU64(frames.size());
     for (const StripeFrame& f : frames) {
       s.PutU64(f.goff);
       s.PutU32(f.len);
+      pos += 12 + f.len;
     }
     r.device_time = ScanCost(pos + 12, scan_bw, setup);
   } else {
@@ -250,6 +244,19 @@ bool ParseStripeScanResponse(std::span<const std::byte> bytes,
     out.push_back(f);
   }
   return true;
+}
+
+std::vector<StripeFrame> WalkStripeFrames(std::span<const std::byte> image) {
+  std::vector<StripeFrame> frames;
+  std::uint64_t pos = 0;
+  while (pos + 12 <= image.size()) {
+    const std::uint64_t goff = LoadU64(image.data() + pos);
+    const std::uint32_t len = LoadU32(image.data() + pos + 8);
+    if (len == 0 || pos + 12 + len > image.size()) break;
+    frames.push_back({goff, len});
+    pos += 12 + len;
+  }
+  return frames;
 }
 
 std::vector<std::byte> BuildCompactRequest(std::uint64_t src_nva,

@@ -68,6 +68,11 @@ struct StripeFrame {
 };
 [[nodiscard]] bool ParseStripeScanResponse(std::span<const std::byte> bytes,
                                            std::vector<StripeFrame>& out);
+// The stripe-frame walk, shared by the device command and the host's
+// image-based recovery: the frames from the start of `image` up to a
+// zero length word or a frame running past its end.
+[[nodiscard]] std::vector<StripeFrame> WalkStripeFrames(
+    std::span<const std::byte> image);
 
 // CompactTo request: [src_nva u64][dst_nva u64][len u64][control_nva u64]
 // [control blob u32-prefixed]. The device moves [src, src+len) to dst

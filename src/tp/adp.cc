@@ -210,8 +210,8 @@ Task<void> AdpProcess::FlushLoop() {
       ckpt.PutU64(confirmed);
       ckpt.PutU64(target);
       auto append_done = sim::SpawnTask(
-          *this, device_->AppendAligned(*this, std::move(batch),
-                                        std::move(marks), flush_op));
+          *this, device_->Append(*this, std::move(batch), std::move(marks),
+                                 flush_op));
       auto ckpt_done =
           sim::SpawnTask(*this, CheckpointToBackup(std::move(ckpt).Take()));
       st = co_await append_done.Wait(*this);

@@ -1,6 +1,9 @@
 #include "tp/log_device.h"
 
 #include <algorithm>
+#include <array>
+#include <initializer_list>
+#include <span>
 
 #include "common/crc32.h"
 #include "common/framescan.h"
@@ -18,23 +21,51 @@ constexpr std::uint32_t kControlMagic = 0x41445054;       // "ADPT" v1
 constexpr std::uint32_t kControlMagicV2 = 0x41445055;     // "ADPU" v2 (+base)
 constexpr std::uint32_t kShardControlMagic = 0x41445053;  // "ADPS"
 
-// ADP log control block. v1 is the seed format {magic, tail, crc}; v2
-// adds the retained base a Compact leaves behind. v1 is written for as
-// long as base == 0 and offload is off, so passive runs stay
-// byte-identical to the seed.
-std::vector<std::byte> EncodeAdpControl(std::uint64_t tail,
-                                        std::uint64_t base, bool v2) {
+// Every control block is sealed as [magic u32][fields u64...][crc32c
+// u32], the CRC covering everything before it. The classic device's v1
+// block is {tail}, v2 adds the retained base a Compact leaves behind; v1
+// is written for as long as base == 0 and offload is off, so passive
+// runs stay byte-identical to the seed. A sharded stream's block is
+// {epoch, stream tail, global tail}.
+std::vector<std::byte> SealControl(
+    std::uint32_t magic, std::initializer_list<std::uint64_t> fields) {
   Serializer s;
-  if (v2) {
-    s.PutU32(kControlMagicV2);
-    s.PutU64(tail);
-    s.PutU64(base);
-  } else {
-    s.PutU32(kControlMagic);
-    s.PutU64(tail);
-  }
+  s.PutU32(magic);
+  for (std::uint64_t f : fields) s.PutU64(f);
   s.PutU32(Crc32c(s.bytes()));
   return std::move(s).Take();
+}
+
+// Reads a block sealed with `magic` and fields.size() fields into
+// `fields`. false = another magic (a virgin region); kDataLoss = the
+// block is truncated or fails its CRC.
+Result<bool> UnsealControl(std::span<const std::byte> cb, std::uint32_t magic,
+                           std::span<std::uint64_t> fields) {
+  Deserializer d(cb);
+  std::uint32_t m = 0;
+  if (!d.GetU32(m) || m != magic) return false;
+  const Status corrupt(ErrorCode::kDataLoss, "log control block corrupt");
+  for (std::uint64_t& f : fields) {
+    if (!d.GetU64(f)) return corrupt;
+  }
+  std::uint32_t stored_crc = 0;
+  if (!d.GetU32(stored_crc) ||
+      Crc32c(cb.first(4 + 8 * fields.size())) != stored_crc) {
+    return corrupt;
+  }
+  return true;
+}
+
+// 1 + the LSN of the last whole frame in `frames` (1 when there is none).
+std::uint64_t NextLsnAfter(std::span<const std::byte> frames) {
+  FrameScanState scan;
+  FrameScanStep(frames, scan);
+  FramedRecordHeader h;
+  if (scan.frame_count > 0 &&
+      PeekFramedRecord(frames, scan.last_frame_off, h)) {
+    return h.lsn + 1;
+  }
+  return 1;
 }
 
 // Splits a ring write into at most two physical extents.
@@ -61,26 +92,6 @@ Task<Status> RingWrite(std::uint64_t tail, std::uint64_t capacity,
 
 // ---------------------------------------------------------------- LogDevice
 
-Task<Status> LogDevice::AppendBatch(nsk::NskProcess& host,
-                                    std::vector<std::vector<std::byte>> batch,
-                                    std::uint64_t op_id) {
-  for (std::vector<std::byte>& bytes : batch) {
-    auto st = co_await Append(host, std::move(bytes), op_id);
-    if (!st.ok()) co_return st;
-  }
-  co_return OkStatus();
-}
-
-Task<Status> LogDevice::AppendAligned(nsk::NskProcess& host,
-                                      std::vector<std::byte> bytes,
-                                      std::vector<std::uint64_t> marks,
-                                      std::uint64_t op_id) {
-  // Not a coroutine: forward straight to Append (the hints are advisory
-  // and this device appends the bytes whole), adding no frame of its own.
-  (void)marks;
-  return Append(host, std::move(bytes), op_id);
-}
-
 Task<Result<LogDevice::RecoverySummary>> LogDevice::RecoverSummary(
     nsk::NskProcess& host) {
   // Host-side default: recover the full image, then scan it here. The
@@ -88,16 +99,7 @@ Task<Result<LogDevice::RecoverySummary>> LogDevice::RecoverSummary(
   // returns the same numbers without the image ever crossing the fabric.
   auto log = co_await RecoverLog(host);
   if (!log.ok()) co_return log.status();
-  RecoverySummary s;
-  s.durable_tail = tail();
-  FrameScanState scan;
-  FrameScanStep(*log, scan);
-  s.frame_count = scan.frame_count;
-  if (scan.frame_count > 0) {
-    FramedRecordHeader h;
-    if (PeekFramedRecord(*log, scan.last_frame_off, h)) s.next_lsn = h.lsn + 1;
-  }
-  co_return s;
+  co_return RecoverySummary{tail(), NextLsnAfter(*log)};
 }
 
 Task<Status> LogDevice::Compact(nsk::NskProcess& host, std::uint64_t cut) {
@@ -116,7 +118,9 @@ Task<Status> DiskLogDevice::Open(nsk::NskProcess& host) {
 
 Task<Status> DiskLogDevice::Append(nsk::NskProcess& host,
                                    std::vector<std::byte> bytes,
+                                   std::vector<std::uint64_t> marks,
                                    std::uint64_t op_id) {
+  (void)marks;  // appended whole
   (void)op_id;  // disk volumes sit below the traced fabric
   // Synchronous append: rotational wait (no write cache), then the
   // sequential volume write.
@@ -173,144 +177,124 @@ Task<Result<std::vector<std::byte>>> DiskLogDevice::RecoverLog(
   co_return std::move(*log);
 }
 
-// -------------------------------------------------------------- PmLogDevice
+// -------------------------------------------------------------- PmLogStream
 
-std::vector<std::byte> PmLogDevice::EncodeControlBlock(
-    std::uint64_t tail) const {
-  return EncodeAdpControl(tail, base_, config_.offload || base_ != 0);
-}
-
-Result<bool> PmLogDevice::DecodeControlBlock(std::span<const std::byte> cb,
-                                             std::uint64_t& tail,
-                                             std::uint64_t& base) {
-  Deserializer d(cb);
-  std::uint32_t magic = 0;
-  if (!d.GetU32(magic) ||
-      (magic != kControlMagic && magic != kControlMagicV2)) {
-    return false;  // virgin region: empty log
-  }
-  std::uint64_t t = 0, b = 0;
-  std::uint32_t stored_crc = 0;
-  if (!d.GetU64(t) ||
-      (magic == kControlMagicV2 && !d.GetU64(b)) ||
-      !d.GetU32(stored_crc)) {
-    return false;
-  }
-  Serializer check;
-  check.PutU32(magic);
-  check.PutU64(t);
-  if (magic == kControlMagicV2) check.PutU64(b);
-  if (Crc32c(check.bytes()) != stored_crc) {
-    return Status(ErrorCode::kDataLoss, "PM log control block corrupt");
-  }
-  tail = t;
-  base = b;
-  return true;
-}
-
-Task<Status> PmLogDevice::Open(nsk::NskProcess& host) {
-  pm::PmClient client(host, config_.pmm_service);
-  auto region = co_await client.Create(config_.region_name,
-                                       kDataBase + config_.region_bytes);
+Task<Status> PmLogStream::Open(nsk::NskProcess& host,
+                               const std::string& pmm_service,
+                               const std::string& name,
+                               std::uint64_t ring_bytes,
+                               std::optional<DurabilityMode> durability,
+                               PipelineStats* stats) {
+  pm::PmClient client(host, pmm_service);
+  auto region = co_await client.Create(name, kDataBase + ring_bytes);
   if (!region.ok()) co_return region.status();
   region_ = std::move(*region);
-  region_->set_durability(config_.durability);
+  region_->set_durability(durability);
   pipeline_.emplace(*region_,
-                    pm::PmWritePipeline::Config{config_.pipeline_depth,
+                    pm::PmWritePipeline::Config{kPipelineDepth,
                                                 /*coalesce_adjacent=*/true,
                                                 /*max_coalesce_bytes=*/256 << 10},
-                    &stats_);
+                    stats);
+  ring_bytes_ = ring_bytes;
+  stats_ = stats;
   co_return OkStatus();
 }
 
-Task<Status> PmLogDevice::Append(nsk::NskProcess& host,
-                                 std::vector<std::byte> bytes,
+Task<Status> PmLogStream::Commit(std::uint64_t ring_pos,
+                                 std::vector<std::byte> data,
+                                 std::vector<std::byte> control, bool piggyback,
                                  std::uint64_t op_id) {
-  std::vector<std::vector<std::byte>> batch;
-  batch.push_back(std::move(bytes));
-  co_return co_await AppendBatch(host, std::move(batch), op_id);
-}
-
-Task<Status> PmLogDevice::AppendBatch(
-    nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-    std::uint64_t op_id) {
-  (void)host;
-  if (!region_) co_return Status(ErrorCode::kFailedPrecondition, "not open");
-  std::uint64_t n = 0;
-  for (const auto& b : batch) n += b.size();
-  if (n == 0) co_return OkStatus();
-  // The whole batch lands back-to-back at the tail; gather it into one
-  // contiguous image (the NIC's gather DMA, modelled as a memcpy).
-  std::vector<std::byte> flat;
-  if (batch.size() == 1) {
-    flat = std::move(batch.front());
-  } else {
-    flat.reserve(n);
-    for (const auto& b : batch) flat.insert(flat.end(), b.begin(), b.end());
-  }
-
-  const std::uint64_t cap = config_.region_bytes;
-  const bool wraps = Phys(tail_) + n > cap;
-  if (config_.piggyback_control && !wraps) {
-    // Fast path: data and the control block carrying the advanced tail go
-    // out as ONE chained RDMA op — a single software-latency round trip
-    // instead of two. The chain lands in posting order and aborts on
-    // error, so the tail pointer can never become durable before the data
-    // it covers (§3.4 recovery invariant holds without the second round).
-    const std::uint64_t new_tail = tail_ + n;
+  const std::uint64_t phys = ring_pos % ring_bytes_;
+  if (piggyback && phys + data.size() <= ring_bytes_) {
+    // Fast path: data and the control block covering it go out as ONE
+    // chained RDMA op — a single software-latency round trip instead of
+    // two. The chain lands in posting order and aborts on error, so the
+    // control block can never become durable before the data it covers
+    // (§3.4 recovery invariant holds without the second round).
     std::vector<pm::PmRegion::ScatterOp> ops;
     ops.reserve(2);
-    ops.push_back({kDataBase + Phys(tail_), std::move(flat)});
-    ops.push_back({0, EncodeControlBlock(new_tail)});
+    ops.push_back({kDataBase + phys, std::move(data)});
+    ops.push_back({0, std::move(control)});
     auto st = co_await region_->WriteChain(std::move(ops), op_id);
-    if (!st.ok()) co_return st;
-    stats_.piggybacked.Increment();
-    tail_ = new_tail;
-    co_return OkStatus();
+    if (st.ok()) stats_->piggybacked.Increment();
+    co_return st;
   }
-
   // Wrap / ablation path: pipeline the data extents, drain the pipeline,
   // then write the control block as its own op — the seed's ordering
-  // (data fully durable before the tail pointer covers it).
+  // (data fully durable before the control block covers it).
   auto st = co_await RingWrite(
-      tail_ - base_, cap, kDataBase, std::move(flat),
+      ring_pos, ring_bytes_, kDataBase, std::move(data),
       [&](std::uint64_t off, std::vector<std::byte> b) -> Task<Status> {
         co_return co_await pipeline_->Submit(off, std::move(b), op_id);
       });
   if (st.ok()) st = co_await pipeline_->Drain();
   if (!st.ok()) co_return st;
-  tail_ += n;
-  co_return co_await region_->Write(0, EncodeControlBlock(tail_), op_id);
+  co_return co_await region_->Write(0, std::move(control), op_id);
 }
 
-Task<Result<std::vector<std::byte>>> PmLogDevice::RecoverLog(
-    nsk::NskProcess& host) {
-  if (!region_) {
+// -------------------------------------------------------------- PmLogDevice
+
+Task<Status> PmLogDevice::Open(nsk::NskProcess& host) {
+  co_return co_await stream_.Open(host, config_.pmm_service,
+                                  config_.region_name, config_.region_bytes,
+                                  config_.durability, &stats_);
+}
+
+Task<Status> PmLogDevice::Append(nsk::NskProcess& host,
+                                 std::vector<std::byte> bytes,
+                                 std::vector<std::uint64_t> marks,
+                                 std::uint64_t op_id) {
+  (void)host;
+  (void)marks;  // the classic ring appends the bytes whole
+  if (!stream_.is_open()) {
+    co_return Status(ErrorCode::kFailedPrecondition, "not open");
+  }
+  const std::uint64_t n = bytes.size();
+  if (n == 0) co_return OkStatus();
+  std::vector<std::byte> control =
+      config_.offload || base_ != 0
+          ? SealControl(kControlMagicV2, {tail_ + n, base_})
+          : SealControl(kControlMagic, {tail_ + n});
+  auto st = co_await stream_.Commit(tail_ - base_, std::move(bytes),
+                                    std::move(control),
+                                    config_.piggyback_control, op_id);
+  if (st.ok()) tail_ += n;
+  co_return st;
+}
+
+Task<Result<bool>> PmLogDevice::LoadControl(nsk::NskProcess& host) {
+  if (!stream_.is_open()) {
     auto st = co_await Open(host);
     if (!st.ok()) co_return st;
   }
   // Direct read of the durable tail pointer — no scanning.
-  auto cb = co_await region_->Read(0, 64);
+  auto cb = co_await stream_.region().Read(0, PmLogStream::kDataBase);
   if (!cb.ok()) co_return cb.status();
-  std::uint64_t tail = 0, base = 0;
-  auto present = DecodeControlBlock(*cb, tail, base);
-  if (!present.ok()) co_return present.status();
-  if (!*present) {
-    // Virgin region: empty log.
-    tail_ = 0;
-    base_ = 0;
-    co_return std::vector<std::byte>{};
+  std::array<std::uint64_t, 2> fields{};  // {tail, base}
+  auto present =
+      UnsealControl(*cb, kControlMagic, std::span(fields).first(1));
+  if (present.ok() && !*present) {
+    present = UnsealControl(*cb, kControlMagicV2, fields);
   }
-  tail_ = tail;
-  base_ = base;
-  if (tail - base > config_.region_bytes) {
+  if (!present.ok()) co_return present.status();
+  tail_ = fields[0];
+  base_ = fields[1];
+  if (tail_ - base_ > config_.region_bytes) {
     co_return Status(ErrorCode::kFailedPrecondition,
                      "log wrapped; full history not retained");
   }
-  if (tail == base) co_return std::vector<std::byte>{};
+  co_return *present;
+}
+
+Task<Result<std::vector<std::byte>>> PmLogDevice::RecoverLog(
+    nsk::NskProcess& host) {
+  auto present = co_await LoadControl(host);
+  if (!present.ok()) co_return present.status();
+  if (tail_ == base_) co_return std::vector<std::byte>{};
   // The retained suffix [base, tail) sits at physical 0 — a Compact
   // re-anchors the ring there.
-  auto data = co_await region_->Read(kDataBase, tail - base);
+  auto data = co_await stream_.region().Read(PmLogStream::kDataBase,
+                                             tail_ - base_);
   if (!data.ok()) co_return data.status();
   co_return std::move(*data);
 }
@@ -318,34 +302,18 @@ Task<Result<std::vector<std::byte>>> PmLogDevice::RecoverLog(
 Task<Result<LogDevice::RecoverySummary>> PmLogDevice::RecoverSummary(
     nsk::NskProcess& host) {
   if (!config_.offload) co_return co_await LogDevice::RecoverSummary(host);
-  if (!region_) {
-    auto st = co_await Open(host);
-    if (!st.ok()) co_return st;
-  }
-  auto cb = co_await region_->Read(0, 64);
-  if (!cb.ok()) co_return cb.status();
-  std::uint64_t tail = 0, base = 0;
-  auto present = DecodeControlBlock(*cb, tail, base);
+  auto present = co_await LoadControl(host);
   if (!present.ok()) co_return present.status();
-  RecoverySummary summary;
-  summary.offloaded = true;
-  if (!*present) {
-    tail_ = 0;
-    base_ = 0;
-    co_return summary;
-  }
-  const std::uint64_t retained = tail - base;
-  if (retained > config_.region_bytes) {
-    co_return Status(ErrorCode::kFailedPrecondition,
-                     "log wrapped; full history not retained");
-  }
+  if (!*present) co_return RecoverySummary{};
+  const std::uint64_t retained = tail_ - base_;
   // Device-side scan of the retained frames: only the summary crosses
   // the fabric, never the log. A passive device (or any command failure)
   // drops to the host path — correctness never depends on the offload.
-  auto resp = co_await region_->DeviceCommand(
+  pm::PmRegion& region = stream_.region();
+  auto resp = co_await region.DeviceCommand(
       pm::kCmdVerifyScan,
       pm::BuildVerifyScanRequest(pm::kScanCrcFrames,
-                                 region_->handle().nva + kDataBase,
+                                 region.handle().nva + PmLogStream::kDataBase,
                                  retained));
   if (!resp.ok()) co_return co_await LogDevice::RecoverSummary(host);
   pm::VerifyScanResult vs;
@@ -358,17 +326,14 @@ Task<Result<LogDevice::RecoverySummary>> PmLogDevice::RecoverSummary(
     co_return Status(ErrorCode::kDataLoss,
                      "torn frame below the committed log tail");
   }
-  tail_ = tail;
-  base_ = base;
-  summary.durable_tail = tail;
-  summary.frame_count = vs.frame_count;
-  summary.next_lsn = vs.last_lsn + 1;
-  co_return summary;
+  co_return RecoverySummary{tail_, vs.last_lsn + 1};
 }
 
 Task<Status> PmLogDevice::Compact(nsk::NskProcess& host, std::uint64_t cut) {
   (void)host;
-  if (!region_) co_return Status(ErrorCode::kFailedPrecondition, "not open");
+  if (!stream_.is_open()) {
+    co_return Status(ErrorCode::kFailedPrecondition, "not open");
+  }
   if (cut < base_ || cut > tail_) {
     co_return Status(ErrorCode::kOutOfRange, "cut outside the retained log");
   }
@@ -378,17 +343,19 @@ Task<Status> PmLogDevice::Compact(nsk::NskProcess& host, std::uint64_t cut) {
   }
   if (cut == base_) co_return OkStatus();
   const std::uint64_t keep = tail_ - cut;
-  std::vector<std::byte> control = EncodeAdpControl(tail_, cut, /*v2=*/true);
+  constexpr std::uint64_t kDataBase = PmLogStream::kDataBase;
+  pm::PmRegion& region = stream_.region();
+  std::vector<std::byte> control = SealControl(kControlMagicV2, {tail_, cut});
   if (config_.offload) {
     // One durable device command per mirror: the NPMU moves the retained
     // suffix to the ring base and installs the re-based control block,
     // atomically at the command ack. Nothing but the request crosses the
     // fabric.
-    auto resp = co_await region_->DeviceCommand(
+    auto resp = co_await region.DeviceCommand(
         pm::kCmdCompactTo,
-        pm::BuildCompactRequest(region_->handle().nva + kDataBase + Phys(cut),
-                                region_->handle().nva + kDataBase, keep,
-                                region_->handle().nva, control),
+        pm::BuildCompactRequest(region.handle().nva + kDataBase + Phys(cut),
+                                region.handle().nva + kDataBase, keep,
+                                region.handle().nva, control),
         /*mirrored=*/true);
     if (resp.ok()) {
       base_ = cut;
@@ -405,174 +372,86 @@ Task<Status> PmLogDevice::Compact(nsk::NskProcess& host, std::uint64_t cut) {
   // leave the ring mid-move — the exposure the single-command offload
   // closes.
   if (keep > 0) {
-    auto suffix = co_await region_->Read(kDataBase + Phys(cut), keep);
+    auto suffix = co_await region.Read(kDataBase + Phys(cut), keep);
     if (!suffix.ok()) co_return suffix.status();
-    auto st = co_await region_->Write(kDataBase, std::move(*suffix));
+    auto st = co_await region.Write(kDataBase, std::move(*suffix));
     if (!st.ok()) co_return st;
   }
-  auto st = co_await region_->Write(0, std::move(control));
+  auto st = co_await region.Write(0, std::move(control));
   if (!st.ok()) co_return st;
   base_ = cut;
   co_return OkStatus();
 }
 
 std::optional<LogDevice::ReplaySource> PmLogDevice::replay_source() const {
-  if (!config_.offload || !region_.has_value() ||
+  if (!config_.offload || !stream_.is_open() ||
       tail_ - base_ > config_.region_bytes) {
     return std::nullopt;
   }
   return ReplaySource{config_.pmm_service, config_.region_name,
-                      /*base_offset=*/kDataBase, tail_ - base_};
+                      /*base_offset=*/PmLogStream::kDataBase, tail_ - base_};
 }
 
 // ------------------------------------------------------- ShardedPmLogDevice
-
-std::vector<std::byte> ShardedPmLogDevice::EncodeStreamControl(
-    std::uint64_t epoch, std::uint64_t stream_tail,
-    std::uint64_t global_tail) const {
-  Serializer s;
-  s.PutU32(kShardControlMagic);
-  s.PutU64(epoch);
-  s.PutU64(stream_tail);
-  s.PutU64(global_tail);
-  s.PutU32(Crc32c(s.bytes()));
-  return std::move(s).Take();
-}
 
 Task<Status> ShardedPmLogDevice::Open(nsk::NskProcess& host) {
   // Idempotent: OnBecomePrimary opens unconditionally, and a promoted
   // backup must not clobber live in-memory stream state with older
   // durable controls.
   if (!streams_.empty()) co_return OkStatus();
-  const int n_shards = config_.map.shard_count();
-  std::vector<Stream> streams;
+  // Opened in place (a stream never moves) and installed only whole: the
+  // vector's move hands over its buffer, so no stream moves either.
+  std::vector<ShardStream> streams(
+      static_cast<std::size_t>(config_.map.shard_count()));
   std::uint64_t t_max = 0;
   std::uint64_t flushes = 0;
-  for (int s = 0; s < n_shards; ++s) {
-    pm::PmClient client(host, config_.map.ServiceForShard(s));
-    auto region = co_await client.Create(
-        config_.region_prefix + std::to_string(s),
-        kStreamDataBase + config_.region_bytes);
-    if (!region.ok()) co_return region.status();
-    Stream st;
-    st.region = std::move(*region);
-    st.region->set_durability(config_.durability);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    ShardStream& st = streams[s];
+    auto status = co_await st.log.Open(
+        host, config_.map.ServiceForShard(static_cast<int>(s)),
+        config_.region_prefix + std::to_string(s), config_.region_bytes,
+        config_.durability, &stats_);
+    if (!status.ok()) co_return status;
     // Restore the stream's committed state from its control block — this
     // is what lets a promoted backup keep appending without a scan.
-    auto cb = co_await st.region->Read(0, kStreamDataBase);
+    auto cb = co_await st.log.region().Read(0, PmLogStream::kDataBase);
     if (!cb.ok()) co_return cb.status();
-    Deserializer d(*cb);
-    std::uint32_t magic = 0;
-    if (d.GetU32(magic) && magic == kShardControlMagic) {
-      std::uint64_t epoch = 0, stream_tail = 0, global_tail = 0;
-      std::uint32_t stored_crc = 0;
-      if (!d.GetU64(epoch) || !d.GetU64(stream_tail) ||
-          !d.GetU64(global_tail) || !d.GetU32(stored_crc)) {
-        co_return Status(ErrorCode::kDataLoss,
-                         "stream control block truncated");
-      }
-      Serializer check;
-      check.PutU32(magic);
-      check.PutU64(epoch);
-      check.PutU64(stream_tail);
-      check.PutU64(global_tail);
-      if (Crc32c(check.bytes()) != stored_crc) {
-        co_return Status(ErrorCode::kDataLoss,
-                         "stream control block corrupt");
-      }
-      st.epoch = epoch;
-      st.tail = stream_tail;
-      st.global_tail = global_tail;
-    }  // else: virgin stream, all zeroes
+    std::array<std::uint64_t, 3> fields{};  // virgin stream: all zeroes
+    auto present = UnsealControl(*cb, kShardControlMagic, fields);
+    if (!present.ok()) co_return present.status();
+    st.epoch = fields[0];
+    st.tail = fields[1];
+    st.global_tail = fields[2];
     t_max = std::max(t_max, st.global_tail);
     flushes += st.epoch;
-    streams.push_back(std::move(st));
   }
   streams_ = std::move(streams);
-  // Pipelines hold a PmRegion*, so they are created only once streams_
-  // has its final addresses (the vector never grows after this).
-  for (Stream& st : streams_) {
-    st.pipeline.emplace(
-        *st.region,
-        pm::PmWritePipeline::Config{config_.pipeline_depth,
-                                    /*coalesce_adjacent=*/true,
-                                    /*max_coalesce_bytes=*/256 << 10},
-        &stats_);
-  }
   tail_ = t_max;
   flush_seq_ = flushes;
   co_return OkStatus();
 }
 
-Task<Status> ShardedPmLogDevice::Append(nsk::NskProcess& host,
-                                        std::vector<std::byte> bytes,
-                                        std::uint64_t op_id) {
-  // No boundary hints: the append is one indivisible chunk (unstriped).
-  std::vector<std::uint64_t> whole{bytes.size()};
-  co_return co_await AppendAligned(host, std::move(bytes), std::move(whole),
-                                   op_id);
-}
-
-Task<Status> ShardedPmLogDevice::StripeAppend(Stream& st,
+Task<Status> ShardedPmLogDevice::CommitStripe(ShardStream& st,
                                               std::vector<std::byte> framed,
                                               std::uint64_t new_global,
                                               std::uint64_t op_id) {
-  const std::uint64_t fn = framed.size();
-  const std::uint64_t cap = config_.region_bytes;
-  const std::uint64_t new_epoch = st.epoch + 1;
-  const bool wraps = (st.tail % cap) + fn > cap;
-  if (config_.piggyback_control && !wraps) {
-    // One chained RDMA per stripe: the stream's framed data, then its
-    // control block. In-order/abort-on-error chain semantics keep the
-    // per-stream control from ever covering un-landed data.
-    std::vector<pm::PmRegion::ScatterOp> ops;
-    ops.reserve(2);
-    ops.push_back({kStreamDataBase + (st.tail % cap), std::move(framed)});
-    ops.push_back({0, EncodeStreamControl(new_epoch, st.tail + fn,
-                                          new_global)});
-    auto status = co_await st.region->WriteChain(std::move(ops), op_id);
-    if (!status.ok()) co_return status;
-    stats_.piggybacked.Increment();
-  } else {
-    auto status = co_await RingWrite(
-        st.tail, cap, kStreamDataBase, std::move(framed),
-        [&](std::uint64_t off, std::vector<std::byte> b) -> Task<Status> {
-          co_return co_await st.pipeline->Submit(off, std::move(b), op_id);
-        });
-    if (status.ok()) status = co_await st.pipeline->Drain();
-    if (!status.ok()) co_return status;
-    status = co_await st.region->Write(
-        0, EncodeStreamControl(new_epoch, st.tail + fn, new_global), op_id);
-    if (!status.ok()) co_return status;
-  }
-  st.tail += fn;
-  st.epoch = new_epoch;
+  const std::uint64_t new_tail = st.tail + framed.size();
+  std::vector<std::byte> control =
+      SealControl(kShardControlMagic, {st.epoch + 1, new_tail, new_global});
+  auto status = co_await st.log.Commit(st.tail, std::move(framed),
+                                       std::move(control),
+                                       /*piggyback=*/true, op_id);
+  if (!status.ok()) co_return status;
+  st.tail = new_tail;
+  st.epoch += 1;
   st.global_tail = new_global;
   co_return OkStatus();
 }
 
-Task<Status> ShardedPmLogDevice::AppendBatch(
-    nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-    std::uint64_t op_id) {
-  // Each batch element is an indivisible chunk: gather and stripe with
-  // cuts only at chunk ends.
-  std::uint64_t n = 0;
-  for (const auto& b : batch) n += b.size();
-  std::vector<std::byte> flat;
-  flat.reserve(n);
-  std::vector<std::uint64_t> marks;
-  marks.reserve(batch.size());
-  for (const auto& b : batch) {
-    flat.insert(flat.end(), b.begin(), b.end());
-    marks.push_back(flat.size());
-  }
-  co_return co_await AppendAligned(host, std::move(flat), std::move(marks),
-                                   op_id);
-}
-
-Task<Status> ShardedPmLogDevice::AppendAligned(
-    nsk::NskProcess& host, std::vector<std::byte> flat,
-    std::vector<std::uint64_t> marks, std::uint64_t op_id) {
+Task<Status> ShardedPmLogDevice::Append(nsk::NskProcess& host,
+                                        std::vector<std::byte> flat,
+                                        std::vector<std::uint64_t> marks,
+                                        std::uint64_t op_id) {
   if (streams_.empty()) {
     co_return Status(ErrorCode::kFailedPrecondition, "not open");
   }
@@ -584,37 +463,31 @@ Task<Status> ShardedPmLogDevice::AppendAligned(
   // small for stripes of kMinStripeBytes to be worth their control
   // commits — snapping each cut DOWN to a record boundary so that a
   // recovery truncated at any stripe edge still ends on a whole record.
-  const std::size_t k_target =
-      static_cast<std::size_t>(std::clamp<std::uint64_t>(
-          n / kMinStripeBytes, 1, static_cast<std::uint64_t>(S)));
-  std::vector<std::uint64_t> cuts;  // stripe end offsets within flat
-  cuts.reserve(k_target);
-  for (std::size_t i = 1; i < k_target; ++i) {
-    const std::uint64_t want = i * n / k_target;
-    auto it = std::upper_bound(marks.begin(), marks.end(), want);
-    const std::uint64_t snapped = it == marks.begin() ? 0 : *std::prev(it);
-    if (snapped > 0 && snapped < n &&
-        (cuts.empty() || snapped > cuts.back())) {
-      cuts.push_back(snapped);
-    }
-  }
-  cuts.push_back(n);
-  const std::size_t k = cuts.size();
-  const std::size_t base = static_cast<std::size_t>(flush_seq_ % S);
-  const std::uint64_t new_global = tail_ + n;
-
+  // Without marks the append is one indivisible chunk (one stripe).
   struct StripePlan {
     std::size_t stream;
     std::uint64_t goff;  // global offset of the stripe's first byte
     std::uint64_t len;
   };
+  const std::size_t k_target =
+      static_cast<std::size_t>(std::clamp<std::uint64_t>(
+          n / kMinStripeBytes, 1, static_cast<std::uint64_t>(S)));
+  const std::size_t base = static_cast<std::size_t>(flush_seq_ % S);
   std::vector<StripePlan> plan;
-  plan.reserve(k);
-  std::uint64_t cut = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    plan.push_back({(base + i) % S, tail_ + cut, cuts[i] - cut});
-    cut = cuts[i];
+  plan.reserve(k_target);
+  std::uint64_t cut = 0;  // end of the planned stripes within flat
+  auto add_stripe = [&](std::uint64_t end) {
+    plan.push_back({(base + plan.size()) % S, tail_ + cut, end - cut});
+    cut = end;
+  };
+  for (std::size_t i = 1; i < k_target; ++i) {
+    auto it = std::upper_bound(marks.begin(), marks.end(), i * n / k_target);
+    const std::uint64_t snapped = it == marks.begin() ? 0 : *std::prev(it);
+    if (snapped > cut && snapped < n) add_stripe(snapped);
   }
+  add_stripe(n);
+  const std::size_t k = plan.size();
+  const std::uint64_t new_global = tail_ + n;
 
   auto frame = [&](const StripePlan& p) {
     Serializer f;
@@ -632,7 +505,7 @@ Task<Status> ShardedPmLogDevice::AppendAligned(
   std::vector<sim::Future<Status>> pending;
   pending.reserve(k);
   for (const StripePlan& p : plan) {
-    Stream& st = streams_[p.stream];
+    ShardStream& st = streams_[p.stream];
     // Crash-injection site on the boundary between per-shard epoch
     // commits: a crash armed here lands after every earlier flush's
     // commits and before any byte of this stripe reaches its shard.
@@ -641,7 +514,7 @@ Task<Status> ShardedPmLogDevice::AppendAligned(
                     {static_cast<std::uint64_t>(p.stream), st.epoch + 1,
                      p.goff + p.len});
     pending.push_back(sim::SpawnTask(
-        host, StripeAppend(st, frame(p), p.goff + p.len, op_id)));
+        host, CommitStripe(st, frame(p), p.goff + p.len, op_id)));
   }
   std::vector<Status> results;
   results.reserve(k);
@@ -653,8 +526,8 @@ Task<Status> ShardedPmLogDevice::AppendAligned(
   // device: later appends above the hole would break I4.
   for (std::size_t i = 0; i < k; ++i) {
     if (results[i].ok()) continue;
-    Stream& next = streams_[(plan[i].stream + 1) % S];
-    Status retried = co_await StripeAppend(next, frame(plan[i]),
+    ShardStream& next = streams_[(plan[i].stream + 1) % S];
+    Status retried = co_await CommitStripe(next, frame(plan[i]),
                                            plan[i].goff + plan[i].len, op_id);
     if (!retried.ok()) {
       poison_ = std::move(retried);
@@ -666,63 +539,50 @@ Task<Status> ShardedPmLogDevice::AppendAligned(
   co_return OkStatus();
 }
 
-Task<Result<std::vector<std::byte>>> ShardedPmLogDevice::RecoverLog(
-    nsk::NskProcess& host) {
-  if (streams_.empty()) {
-    auto status = co_await Open(host);
-    if (!status.ok()) co_return status;
-  }
-  // T = the newest global tail any stream recorded. The serial flush
-  // loop guarantees every flush before the one that recorded T also
-  // committed, so the union of stream frames must cover [0, T).
-  std::uint64_t t_max = 0;
-  for (const Stream& st : streams_) t_max = std::max(t_max, st.global_tail);
-  if (t_max == 0) {
-    tail_ = 0;
-    co_return std::vector<std::byte>{};
-  }
-  struct Frame {
-    std::uint64_t goff;      // global interval [goff, gend)
-    std::uint64_t gend;
-    std::uint64_t spos_end;  // stream position just past this frame
-  };
-  std::vector<std::vector<Frame>> frames_by_stream(streams_.size());
-  std::vector<std::byte> image(t_max);
-  for (std::size_t si = 0; si < streams_.size(); ++si) {
-    Stream& st = streams_[si];
-    if (st.tail == 0) continue;
+Task<Status> ShardedPmLogDevice::OpenRetained(nsk::NskProcess& host) {
+  auto status = co_await Open(host);
+  if (!status.ok()) co_return status;
+  for (const ShardStream& st : streams_) {
     if (st.tail > config_.region_bytes) {
       co_return Status(ErrorCode::kFailedPrecondition,
                        "log stream wrapped; full history not retained");
     }
-    auto data = co_await st.region->Read(kStreamDataBase, st.tail);
-    if (!data.ok()) co_return data.status();
+  }
+  co_return OkStatus();
+}
+
+Task<Result<ShardedPmLogDevice::FrameTables>> ShardedPmLogDevice::Merge(
+    std::vector<std::vector<pm::StripeFrame>> tables) {
+  // T = the newest global tail any stream recorded. The serial flush
+  // loop guarantees every flush before the one that recorded T also
+  // committed, so the union of stream frames must cover [0, T).
+  std::uint64_t t_max = 0;
+  for (const ShardStream& st : streams_) {
+    t_max = std::max(t_max, st.global_tail);
+  }
+  const Status torn(ErrorCode::kDataLoss,
+                    "torn frame below a committed stream tail");
+  FrameTables frames(streams_.size());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals;
+  for (std::size_t si = 0; si < streams_.size(); ++si) {
+    const ShardStream& st = streams_[si];
     std::uint64_t pos = 0;
-    while (pos < data->size()) {
-      Deserializer d(std::span<const std::byte>(*data).subspan(pos));
-      std::uint64_t goff = 0;
-      std::uint32_t len = 0;
-      if (!d.GetU64(goff) || !d.GetU32(len) || len == 0 ||
-          pos + kFrameHeader + len > data->size() || goff + len > t_max) {
-        co_return Status(ErrorCode::kDataLoss,
-                         "torn frame below a committed stream tail");
+    for (const pm::StripeFrame& f : tables[si]) {
+      if (f.len == 0 || pos + kFrameHeader + f.len > st.tail ||
+          f.goff + f.len > t_max) {
+        co_return torn;
       }
-      std::copy_n(
-          data->begin() + static_cast<std::ptrdiff_t>(pos + kFrameHeader),
-          len, image.begin() + static_cast<std::ptrdiff_t>(goff));
-      pos += kFrameHeader + len;
-      frames_by_stream[si].push_back({goff, goff + len, pos});
+      pos += kFrameHeader + f.len;
+      frames[si].push_back({f.goff, f.goff + f.len, pos});
+      intervals.emplace_back(f.goff, f.goff + f.len);
     }
+    if (pos != st.tail) co_return torn;
     // Cross-shard I1: a stream's durable epoch is exactly its committed
     // stripe count, i.e. the frames below its control's stream tail.
-    if (frames_by_stream[si].size() != st.epoch) {
+    if (frames[si].size() != st.epoch) {
       co_return Status(ErrorCode::kDataLoss,
                        "stream epoch does not match its frame count");
     }
-  }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals;
-  for (const auto& fs : frames_by_stream) {
-    for (const Frame& f : fs) intervals.emplace_back(f.goff, f.gend);
   }
   std::sort(intervals.begin(), intervals.end());
   // Overlaps are legal (a takeover re-flushes byte-identical records).
@@ -735,149 +595,97 @@ Task<Result<std::vector<std::byte>>> ShardedPmLogDevice::RecoverLog(
     if (begin > covered) break;
     covered = std::max(covered, end);
   }
-  if (covered < t_max) {
-    // Truncate the hole's committed sibling stripes — necessarily each
-    // stream's final frames, since only the last flush can be partial.
-    // Their controls are rewritten so a future append of the same global
-    // interval (with different bytes) can never conflict with them.
-    for (std::size_t si = 0; si < streams_.size(); ++si) {
-      auto& fs = frames_by_stream[si];
-      if (fs.empty() || fs.back().gend <= covered) continue;
-      Stream& st = streams_[si];
-      while (!fs.empty() && fs.back().gend > covered) {
-        fs.pop_back();
-        st.epoch -= 1;
-      }
-      st.tail = fs.empty() ? 0 : fs.back().spos_end;
-      st.global_tail = fs.empty() ? 0 : fs.back().gend;
-      auto status = co_await st.region->Write(
-          0, EncodeStreamControl(st.epoch, st.tail, st.global_tail));
-      if (!status.ok()) co_return status;
+  // Truncate the hole's committed sibling stripes, if any — necessarily
+  // each stream's final frames, since only the last flush can be
+  // partial. Their controls are rewritten so a future append of the same
+  // global interval (with different bytes) can never conflict with them.
+  for (std::size_t si = 0; si < streams_.size(); ++si) {
+    auto& fs = frames[si];
+    if (fs.empty() || fs.back().gend <= covered) continue;
+    ShardStream& st = streams_[si];
+    while (!fs.empty() && fs.back().gend > covered) {
+      fs.pop_back();
+      st.epoch -= 1;
     }
-    image.resize(covered);
+    st.tail = fs.empty() ? 0 : fs.back().spos_end;
+    st.global_tail = fs.empty() ? 0 : fs.back().gend;
+    std::vector<std::byte> control = SealControl(
+        kShardControlMagic, {st.epoch, st.tail, st.global_tail});
+    auto status = co_await st.log.region().Write(0, std::move(control));
+    if (!status.ok()) co_return status;
   }
   tail_ = covered;
-  co_return std::move(image);
+  co_return frames;
+}
+
+Task<Result<std::vector<std::byte>>> ShardedPmLogDevice::RecoverLog(
+    nsk::NskProcess& host) {
+  if (Status st = co_await OpenRetained(host); !st.ok()) co_return st;
+  // Read every stream's committed bytes and walk their frame headers.
+  std::vector<std::vector<std::byte>> data(streams_.size());
+  std::vector<std::vector<pm::StripeFrame>> tables(streams_.size());
+  for (std::size_t si = 0; si < streams_.size(); ++si) {
+    ShardStream& st = streams_[si];
+    if (st.tail == 0) continue;
+    auto d = co_await st.log.region().Read(PmLogStream::kDataBase, st.tail);
+    if (!d.ok()) co_return d.status();
+    data[si] = std::move(*d);
+    tables[si] = pm::WalkStripeFrames(data[si]);
+  }
+  auto frames = co_await Merge(std::move(tables));
+  if (!frames.ok()) co_return frames.status();
+  // Every frame starting below the covered tail also ends there.
+  std::vector<std::byte> image(tail_);
+  for (std::size_t si = 0; si < streams_.size(); ++si) {
+    for (const Frame& f : (*frames)[si]) {
+      if (f.gend > tail_) continue;
+      const std::uint64_t len = f.gend - f.goff;
+      std::copy_n(data[si].begin() +
+                      static_cast<std::ptrdiff_t>(f.spos_end - len),
+                  len, image.begin() + static_cast<std::ptrdiff_t>(f.goff));
+    }
+  }
+  co_return image;
 }
 
 Task<Result<LogDevice::RecoverySummary>> ShardedPmLogDevice::RecoverSummary(
     nsk::NskProcess& host) {
   if (!config_.offload) co_return co_await LogDevice::RecoverSummary(host);
-  if (streams_.empty()) {
-    auto status = co_await Open(host);
-    if (!status.ok()) co_return status;
-  }
-  std::uint64_t t_max = 0;
-  for (const Stream& st : streams_) t_max = std::max(t_max, st.global_tail);
-  RecoverySummary summary;
-  summary.offloaded = true;
-  if (t_max == 0) {
-    tail_ = 0;
-    co_return summary;
-  }
+  if (Status st = co_await OpenRetained(host); !st.ok()) co_return st;
   // Same merge as RecoverLog, but built from device-side stripe scans:
   // each stream returns its frame TABLE (headers only) — the payloads
-  // never cross the fabric. Stream positions follow from the cumulative
-  // frame sizes.
-  struct Frame {
-    std::uint64_t goff;
-    std::uint64_t gend;
-    std::uint64_t spos_end;
-  };
-  std::vector<std::vector<Frame>> frames_by_stream(streams_.size());
+  // never cross the fabric.
+  std::vector<std::vector<pm::StripeFrame>> tables(streams_.size());
   for (std::size_t si = 0; si < streams_.size(); ++si) {
-    Stream& st = streams_[si];
+    ShardStream& st = streams_[si];
     if (st.tail == 0) continue;
-    if (st.tail > config_.region_bytes) {
-      co_return Status(ErrorCode::kFailedPrecondition,
-                       "log stream wrapped; full history not retained");
-    }
-    auto resp = co_await st.region->DeviceCommand(
+    pm::PmRegion& region = st.log.region();
+    auto resp = co_await region.DeviceCommand(
         pm::kCmdVerifyScan,
         pm::BuildVerifyScanRequest(pm::kScanStripeFrames,
-                                   st.region->handle().nva + kStreamDataBase,
+                                   region.handle().nva + PmLogStream::kDataBase,
                                    st.tail));
     if (!resp.ok()) co_return co_await LogDevice::RecoverSummary(host);
-    std::vector<pm::StripeFrame> table;
-    if (!pm::ParseStripeScanResponse(*resp, table)) {
+    if (!pm::ParseStripeScanResponse(*resp, tables[si])) {
       co_return Status(ErrorCode::kInternal, "malformed stripe scan response");
     }
-    std::uint64_t pos = 0;
-    for (const pm::StripeFrame& f : table) {
-      if (f.len == 0 || pos + kFrameHeader + f.len > st.tail ||
-          f.goff + f.len > t_max) {
-        co_return Status(ErrorCode::kDataLoss,
-                         "torn frame below a committed stream tail");
-      }
-      pos += kFrameHeader + f.len;
-      frames_by_stream[si].push_back({f.goff, f.goff + f.len, pos});
-    }
-    if (pos != st.tail) {
-      co_return Status(ErrorCode::kDataLoss,
-                       "torn frame below a committed stream tail");
-    }
-    if (frames_by_stream[si].size() != st.epoch) {
-      co_return Status(ErrorCode::kDataLoss,
-                       "stream epoch does not match its frame count");
-    }
-    summary.frame_count += frames_by_stream[si].size();
   }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals;
-  for (const auto& fs : frames_by_stream) {
-    for (const Frame& f : fs) intervals.emplace_back(f.goff, f.gend);
-  }
-  std::sort(intervals.begin(), intervals.end());
-  std::uint64_t covered = 0;
-  for (const auto& [begin, end] : intervals) {
-    if (begin > covered) break;
-    covered = std::max(covered, end);
-  }
-  if (covered < t_max) {
-    // Truncate stale sibling stripes of the torn final flush, exactly as
-    // the image-based recovery does.
-    for (std::size_t si = 0; si < streams_.size(); ++si) {
-      auto& fs = frames_by_stream[si];
-      if (fs.empty() || fs.back().gend <= covered) continue;
-      Stream& st = streams_[si];
-      while (!fs.empty() && fs.back().gend > covered) {
-        fs.pop_back();
-        st.epoch -= 1;
-      }
-      st.tail = fs.empty() ? 0 : fs.back().spos_end;
-      st.global_tail = fs.empty() ? 0 : fs.back().gend;
-      auto status = co_await st.region->Write(
-          0, EncodeStreamControl(st.epoch, st.tail, st.global_tail));
-      if (!status.ok()) co_return status;
+  auto frames = co_await Merge(std::move(tables));
+  if (!frames.ok()) co_return frames.status();
+  // The final record lives wholly inside the stripe ending at the
+  // covered tail (stripes cut only at record boundaries) — read just
+  // that stripe's payload to learn the next LSN.
+  for (std::size_t si = 0; si < streams_.size() && tail_ > 0; ++si) {
+    for (const Frame& f : (*frames)[si]) {
+      if (f.gend != tail_) continue;
+      const std::uint64_t len = f.gend - f.goff;
+      auto data = co_await streams_[si].log.region().Read(
+          PmLogStream::kDataBase + (f.spos_end - len), len);
+      if (!data.ok()) co_return data.status();
+      co_return RecoverySummary{tail_, NextLsnAfter(*data)};
     }
   }
-  tail_ = covered;
-  summary.durable_tail = covered;
-  if (covered > 0) {
-    // The final record lives wholly inside the stripe ending at the
-    // covered tail (stripes cut only at record boundaries) — read just
-    // that stripe's payload to learn the next LSN.
-    bool found = false;
-    for (std::size_t si = 0; si < streams_.size() && !found; ++si) {
-      for (const Frame& f : frames_by_stream[si]) {
-        if (f.gend != covered) continue;
-        const std::uint64_t len = f.gend - f.goff;
-        auto data = co_await streams_[si].region->Read(
-            kStreamDataBase + (f.spos_end - len), len);
-        if (!data.ok()) co_return data.status();
-        FrameScanState scan;
-        FrameScanStep(*data, scan);
-        if (scan.frame_count > 0) {
-          FramedRecordHeader h;
-          if (PeekFramedRecord(*data, scan.last_frame_off, h)) {
-            summary.next_lsn = h.lsn + 1;
-          }
-        }
-        found = true;
-        break;
-      }
-    }
-  }
-  co_return summary;
+  co_return RecoverySummary{tail_, 1};
 }
 
 }  // namespace ods::tp

@@ -1,25 +1,37 @@
-// Durable media behind the log writer (ADP). Two implementations:
+// Durable media behind the log writer (ADP). Three implementations:
 //
 //  * DiskLogDevice — the baseline: audit flushed to an audit disk volume.
 //    A synchronous append with intervening think time pays rotational
 //    latency on top of the storage-stack overhead (no write cache on a
-//    2004-era audit volume), i.e. milliseconds per commit.
+//    2004-era audit volume), i.e. milliseconds per commit. Recovery has
+//    no tail pointer and scans the volume.
 //
 //  * PmLogDevice — the paper's modified ADP (§4.2): audit written
 //    synchronously to a persistent-memory region, i.e. tens of
-//    microseconds. When the ring does not wrap, an append is ONE chained
-//    RDMA op — the data segments plus a small control block carrying the
-//    durable tail as the final gather segment (the chain's in-order,
-//    abort-on-error semantics keep the tail from ever covering un-landed
-//    data). On wrap, or with piggybacking disabled for ablation, data is
-//    pipelined and the control block written separately afterwards. The
-//    fine-grained control block is what eliminates "costly heuristic
-//    searching of audit trail information" at recovery (§3.4): recovery
-//    reads the tail pointer directly instead of scanning the log.
+//    microseconds. The region is one PmLogStream in the classic layout:
+//    an "ADPT" control block holding the durable tail, then the raw
+//    CRC-framed audit records.
 //
-// Both devices are logically infinite ring buffers: physical offsets wrap
-// modulo capacity. Recovery (ReadLog) requires the retained suffix to fit
-// in capacity — true for all recovery tests; perf benchmarks may wrap.
+//  * ShardedPmLogDevice — the ADP's multi-log mode on a sharded
+//    persistence plane: a flush is striped in parallel over one
+//    PmLogStream per shard, each stream holding an "ADPS" control block
+//    and [global_offset|len|payload] stripe frames.
+//
+// Both PM devices commit through PmLogStream::Commit. When the ring does
+// not wrap, a commit is ONE chained RDMA op — the data plus a small
+// control block carrying the new tail as the final gather segment (the
+// chain's in-order, abort-on-error semantics keep the tail from ever
+// covering un-landed data). On wrap, or with piggybacking disabled for
+// ablation, the data is pipelined and the control block written
+// separately afterwards. The fine-grained control block is what
+// eliminates "costly heuristic searching of audit trail information" at
+// recovery (§3.4): recovery reads the tail pointer directly instead of
+// scanning the log.
+//
+// Every device is a logically infinite ring buffer: physical offsets
+// wrap modulo capacity. Recovery (RecoverLog) requires the retained
+// suffix to fit in capacity — true for all recovery tests; perf
+// benchmarks may wrap.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +45,7 @@
 #include "common/status.h"
 #include "nsk/process.h"
 #include "pm/client.h"
+#include "pm/offload.h"
 #include "storage/disk.h"
 
 namespace ods::tp {
@@ -45,31 +58,19 @@ class LogDevice {
   virtual sim::Task<Status> Open(nsk::NskProcess& host) = 0;
 
   // Durably appends `bytes` at the logical tail; returns once durable.
-  // `op_id` is a trace correlation id (0 = untagged) threaded down to the
-  // fabric. Virtual default arguments resolve statically, so overrides
-  // restate exactly `op_id = 0` (callers hold concrete devices too).
+  // One group-commit flush is one call. `marks` are the ascending ends
+  // (relative offsets) of the whole records inside `bytes`, or empty when
+  // the bytes are one indivisible chunk: a device that splits an append
+  // internally (the sharded device stripes it across shards) cuts only
+  // at marks, so a recovery truncated at any internal boundary still
+  // ends on a parseable record. `op_id` is a trace correlation id (0 =
+  // untagged) threaded down to the fabric. Virtual default arguments
+  // resolve statically, so overrides restate exactly these defaults
+  // (callers hold concrete devices too).
   virtual sim::Task<Status> Append(nsk::NskProcess& host,
                                    std::vector<std::byte> bytes,
+                                   std::vector<std::uint64_t> marks = {},
                                    std::uint64_t op_id = 0) = 0;
-
-  // Durably appends every element of `batch` in order; returns once all
-  // are durable. One group-commit flush should be one call here: devices
-  // that can pipeline (PM) turn the whole batch into a single fabric op
-  // instead of a write-per-record. Default: sequential Appends.
-  virtual sim::Task<Status> AppendBatch(
-      nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-      std::uint64_t op_id = 0);
-
-  // Append with record-boundary hints: `marks` are the ascending ends
-  // (relative offsets) of the whole records inside `bytes`. A device
-  // that splits an append internally (the sharded device stripes it
-  // across shards) must cut only at marks, so a recovery truncated at
-  // any internal boundary still ends on a parseable record. The default
-  // ignores the hints and appends the bytes whole.
-  virtual sim::Task<Status> AppendAligned(nsk::NskProcess& host,
-                                          std::vector<std::byte> bytes,
-                                          std::vector<std::uint64_t> marks,
-                                          std::uint64_t op_id = 0);
 
   // Pipelining instrumentation, when the device has any (PM only).
   [[nodiscard]] virtual const PipelineStats* pipeline_stats() const noexcept {
@@ -89,9 +90,7 @@ class LogDevice {
   // default runs RecoverLog and scans on the host.
   struct RecoverySummary {
     std::uint64_t durable_tail = 0;  // logical durable tail
-    std::uint64_t frame_count = 0;   // frames validated behind it
     std::uint64_t next_lsn = 1;      // 1 + the final record's LSN
-    bool offloaded = false;          // true when a device command did the scan
   };
   virtual sim::Task<Result<RecoverySummary>> RecoverSummary(
       nsk::NskProcess& host);
@@ -143,6 +142,7 @@ class DiskLogDevice final : public LogDevice {
 
   sim::Task<Status> Open(nsk::NskProcess& host) override;
   sim::Task<Status> Append(nsk::NskProcess& host, std::vector<std::byte> bytes,
+                           std::vector<std::uint64_t> marks = {},
                            std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
       nsk::NskProcess& host) override;
@@ -160,6 +160,55 @@ class DiskLogDevice final : public LogDevice {
   std::uint64_t tail_ = 0;  // logical (monotonic)
 };
 
+// One PM log stream: the unit both PM log devices are built from. It
+// owns a PM region laid out as [control block (64 B) | data ring], the
+// write pipeline that feeds the ring, and the commit that makes a ring
+// write durable together with the control block covering it. The caller
+// keeps the ring position and encodes the control block, so the stream
+// serves both the classic layout and the striped one.
+class PmLogStream {
+ public:
+  // Region layout: [control block | data ring].
+  static constexpr std::uint64_t kDataBase = 64;
+  // Queue depth of the write pipeline used on the non-piggybacked path.
+  static constexpr std::size_t kPipelineDepth = 8;
+
+  PmLogStream() = default;
+  // The pipeline points into the region: the stream never moves.
+  PmLogStream(const PmLogStream&) = delete;
+  PmLogStream& operator=(const PmLogStream&) = delete;
+
+  // Creates (or re-attaches) region `name` on `pmm_service` with a data
+  // ring of `ring_bytes`, sets its durability mode (nullopt = the
+  // fabric-wide mode) and attaches the write pipeline.
+  sim::Task<Status> Open(nsk::NskProcess& host, const std::string& pmm_service,
+                         const std::string& name, std::uint64_t ring_bytes,
+                         std::optional<DurabilityMode> durability,
+                         PipelineStats* stats);
+
+  // Durably writes `data` at ring position `ring_pos` (taken modulo the
+  // ring), then `control` at offset 0; returns once both are durable.
+  // With `piggyback` and no wrap this is ONE chained RDMA op (data, then
+  // control); otherwise the data is pipelined and drained, and the
+  // control block written as its own op — the seed's ordering.
+  sim::Task<Status> Commit(std::uint64_t ring_pos, std::vector<std::byte> data,
+                           std::vector<std::byte> control, bool piggyback,
+                           std::uint64_t op_id);
+
+  [[nodiscard]] bool is_open() const noexcept { return region_.has_value(); }
+  [[nodiscard]] pm::PmRegion& region() { return *region_; }
+  void Reset() noexcept {
+    pipeline_.reset();
+    region_.reset();
+  }
+
+ private:
+  std::optional<pm::PmRegion> region_;
+  std::optional<pm::PmWritePipeline> pipeline_;
+  std::uint64_t ring_bytes_ = 0;
+  PipelineStats* stats_ = nullptr;
+};
+
 struct PmLogConfig {
   std::string pmm_service = "$PMM";
   std::string region_name;          // unique per ADP, e.g. "audit-$ADP0"
@@ -169,8 +218,6 @@ struct PmLogConfig {
   // of two). Off = the seed's serialized data-then-control path, kept as
   // an ablation knob.
   bool piggyback_control = true;
-  // Queue depth of the write pipeline used on the non-piggybacked path.
-  std::size_t pipeline_depth = 8;
   // Per-log override of the fabric-wide remote-durability mode
   // (common/durability.h); nullopt = FabricConfig::durability_mode.
   std::optional<DurabilityMode> durability;
@@ -183,16 +230,17 @@ struct PmLogConfig {
   bool offload = false;
 };
 
+// The classic single-stream device: one PmLogStream whose control block
+// holds {tail} (v1, "ADPT") or {tail, base} (v2, "ADPU", after a Compact
+// or with offload on) and whose ring holds the raw CRC frames.
 class PmLogDevice final : public LogDevice {
  public:
   explicit PmLogDevice(PmLogConfig config) : config_(std::move(config)) {}
 
   sim::Task<Status> Open(nsk::NskProcess& host) override;
   sim::Task<Status> Append(nsk::NskProcess& host, std::vector<std::byte> bytes,
+                           std::vector<std::uint64_t> marks = {},
                            std::uint64_t op_id = 0) override;
-  sim::Task<Status> AppendBatch(
-      nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-      std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
       nsk::NskProcess& host) override;
   sim::Task<Result<RecoverySummary>> RecoverSummary(
@@ -210,21 +258,17 @@ class PmLogDevice final : public LogDevice {
     return &stats_;
   }
   void Reset() noexcept override {
-    pipeline_.reset();
-    region_.reset();
+    stream_.Reset();
     tail_ = 0;
     base_ = 0;
   }
 
  private:
-  // Region layout: [control block (64B) | log data ring].
-  static constexpr std::uint64_t kDataBase = 64;
-
-  [[nodiscard]] std::vector<std::byte> EncodeControlBlock(
-      std::uint64_t tail) const;
-  // Parses a control block (either format); false = virgin region.
-  [[nodiscard]] static Result<bool> DecodeControlBlock(
-      std::span<const std::byte> cb, std::uint64_t& tail, std::uint64_t& base);
+  // Cold-recovery prelude shared by RecoverLog and RecoverSummary: opens
+  // the region if needed, reads the control block and installs its
+  // {tail, base} ({0, 0} on a virgin region). false = virgin region;
+  // fails if the ring wrapped past the retained history.
+  sim::Task<Result<bool>> LoadControl(nsk::NskProcess& host);
   // Physical ring offset of logical byte L (compaction re-anchors the
   // ring so the retained base sits at physical 0).
   [[nodiscard]] std::uint64_t Phys(std::uint64_t logical) const noexcept {
@@ -232,8 +276,7 @@ class PmLogDevice final : public LogDevice {
   }
 
   PmLogConfig config_;
-  std::optional<pm::PmRegion> region_;
-  std::optional<pm::PmWritePipeline> pipeline_;
+  PmLogStream stream_;
   PipelineStats stats_;
   std::uint64_t tail_ = 0;
   // Logical offset of the first retained byte (> 0 after a Compact).
@@ -247,8 +290,6 @@ struct ShardedPmLogConfig {
   pm::ShardMap map;            // shard count + service naming
   std::string region_prefix;   // stream k's region is prefix + k
   std::uint64_t region_bytes = 48ull << 20;  // per stream
-  bool piggyback_control = true;
-  std::size_t pipeline_depth = 8;
   // Per-log override of the fabric-wide remote-durability mode, applied
   // to every stream region (nullopt = FabricConfig::durability_mode).
   std::optional<DurabilityMode> durability;
@@ -265,10 +306,10 @@ struct ShardedPmLogConfig {
 // [global_offset u64][len u32][payload] in its stream's ring and
 // committed with a per-stream control block {per-shard epoch, stream
 // tail, global tail} carried behind the data in one chained RDMA (the
-// same control-after-data ordering as PmLogDevice, per stream). The
-// stripes of one flush land IN PARALLEL, one per shard pair — this is
-// what makes a single ADP's flush latency scale down with shard count
-// instead of merely spreading successive flushes over the links.
+// same PmLogStream commit as PmLogDevice, per stream). The stripes of
+// one flush land IN PARALLEL, one per shard pair — this is what makes a
+// single ADP's flush latency scale down with shard count instead of
+// merely spreading successive flushes over the links.
 //
 // Because the ADP's flush loop is strictly serial and a flush is acked
 // only once every stripe committed, at most one flush — the in-flight
@@ -299,14 +340,8 @@ class ShardedPmLogDevice final : public LogDevice {
 
   sim::Task<Status> Open(nsk::NskProcess& host) override;
   sim::Task<Status> Append(nsk::NskProcess& host, std::vector<std::byte> bytes,
+                           std::vector<std::uint64_t> marks = {},
                            std::uint64_t op_id = 0) override;
-  sim::Task<Status> AppendBatch(
-      nsk::NskProcess& host, std::vector<std::vector<std::byte>> batch,
-      std::uint64_t op_id = 0) override;
-  sim::Task<Status> AppendAligned(nsk::NskProcess& host,
-                                  std::vector<std::byte> bytes,
-                                  std::vector<std::uint64_t> marks,
-                                  std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
       nsk::NskProcess& host) override;
   sim::Task<Result<RecoverySummary>> RecoverSummary(
@@ -327,43 +362,49 @@ class ShardedPmLogDevice final : public LogDevice {
     poison_ = OkStatus();
   }
 
-  // Per-shard epoch (committed flush count) of stream `s` — recovery
-  // tests assert cross-shard monotonicity against these.
-  [[nodiscard]] std::uint64_t stream_epoch(int s) const noexcept {
-    return streams_.at(static_cast<std::size_t>(s)).epoch;
-  }
-
  private:
-  // Stream region layout: [control block (64B) | framed data ring].
-  static constexpr std::uint64_t kStreamDataBase = 64;
   // Per-frame header: [global_offset u64][len u32].
   static constexpr std::uint64_t kFrameHeader = 12;
   // Smallest stripe worth its own control-block commit; flushes below
   // S * this use fewer stripes (a lone small flush stays whole).
   static constexpr std::uint64_t kMinStripeBytes = 64ull << 10;
 
-  struct Stream {
-    std::optional<pm::PmRegion> region;
-    std::optional<pm::PmWritePipeline> pipeline;
+  struct ShardStream {
+    PmLogStream log;
     std::uint64_t tail = 0;   // framed bytes appended to this stream
     std::uint64_t epoch = 0;  // stripes committed to this stream
     std::uint64_t global_tail = 0;  // global tail at the last commit
   };
+  // A validated stripe frame: global interval [goff, gend), ending at
+  // stream position spos_end.
+  struct Frame {
+    std::uint64_t goff;
+    std::uint64_t gend;
+    std::uint64_t spos_end;
+  };
+  using FrameTables = std::vector<std::vector<Frame>>;
 
-  [[nodiscard]] std::vector<std::byte> EncodeStreamControl(
-      std::uint64_t epoch, std::uint64_t stream_tail,
-      std::uint64_t global_tail) const;
-
-  // Writes one already-framed stripe to `st` (data + control in one
-  // chain, or the ring/pipeline path on wrap) and commits the stream's
+  // Commits one already-framed stripe to `st` and advances the stream's
   // in-memory state on success. Stripes of one flush run in parallel,
   // each on its own stream.
-  sim::Task<Status> StripeAppend(Stream& st, std::vector<std::byte> framed,
+  sim::Task<Status> CommitStripe(ShardStream& st,
+                                 std::vector<std::byte> framed,
                                  std::uint64_t new_global,
                                  std::uint64_t op_id);
+  // Recovery prelude: opens the streams if needed, then fails if any
+  // stream's ring wrapped past its retained history.
+  sim::Task<Status> OpenRetained(nsk::NskProcess& host);
+  // Cold-recovery merge shared by RecoverLog and RecoverSummary.
+  // `tables[s]` is stream s's frame table in stream order. Checks every
+  // table against its stream's committed control, takes the covered
+  // prefix of the union of global intervals, truncates stale sibling
+  // stripes above a hole (rewriting their controls durably) and installs
+  // the covered prefix as the tail. Returns the surviving frames.
+  sim::Task<Result<FrameTables>> Merge(
+      std::vector<std::vector<pm::StripeFrame>> tables);
 
   ShardedPmLogConfig config_;
-  std::vector<Stream> streams_;
+  std::vector<ShardStream> streams_;
   PipelineStats stats_;
   std::uint64_t tail_ = 0;       // global logical tail (payload bytes)
   std::uint64_t flush_seq_ = 0;  // total committed flushes (round-robin)

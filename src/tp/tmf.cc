@@ -90,7 +90,7 @@ Task<void> TmfProcess::NoteState(std::uint64_t txn, TxnState state) {
                                              : AuditType::kUpdate;
     rec.key = static_cast<std::uint64_t>(state);
     FrameRecord(rec, framed);
-    (void)co_await tcb_log_->Append(*this, std::move(framed), txn);
+    (void)co_await tcb_log_->Append(*this, std::move(framed), {}, txn);
   }
   (void)co_await CheckpointToBackup(std::move(entry));
 }

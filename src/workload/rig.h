@@ -79,11 +79,6 @@ struct RigConfig {
   pm::NpmuConfig npmu;
   nsk::ClusterConfig cluster;
   std::uint64_t pm_log_region_bytes = 48ull << 20;
-  // Ablation knobs for the pipelined PM append path (tp/log_device.h):
-  // piggyback off reproduces the seed's serialized data-then-control
-  // writes.
-  bool pm_piggyback = true;
-  std::size_t pm_pipeline_depth = 8;
 };
 
 class Rig {

@@ -313,10 +313,10 @@ class ScanDriver : public nsk::NskProcess {
  public:
   ScanDriver(nsk::Cluster& cluster, int cpu, int scanner_index,
              const db::Catalog& catalog, const ScanMixConfig& config,
-             sim::Latch& done, ScanMixResult& result)
+             sim::Latch& done, ScanMixResult& result, sim::SimTime& finished)
       : NskProcess(cluster, cpu, "scan" + std::to_string(scanner_index)),
         scanner_index_(scanner_index), catalog_(&catalog), config_(&config),
-        done_(&done), result_(&result) {}
+        done_(&done), result_(&result), finished_(&finished) {}
 
  protected:
   Task<void> Main() override {
@@ -350,6 +350,7 @@ class ScanDriver : public nsk::NskProcess {
       result_->scan_duration.Record(
           static_cast<std::uint64_t>((sim().Now() - t0).ns));
     }
+    *finished_ = std::max(*finished_, sim().Now());
     done_->Arrive();
   }
 
@@ -359,6 +360,7 @@ class ScanDriver : public nsk::NskProcess {
   const ScanMixConfig* config_;
   sim::Latch* done_;
   ScanMixResult* result_;
+  sim::SimTime* finished_;  // latest scanner finish time
 };
 
 }  // namespace
@@ -392,6 +394,7 @@ ScanMixResult RunScanMix(Rig& rig, const ScanMixConfig& config) {
       static_cast<std::size_t>(config.writers));
   sim::Latch done(sim, config.writers + config.scanners);
   const sim::SimTime start = sim.Now();
+  sim::SimTime finish = start;
   for (int d = 0; d < config.writers; ++d) {
     writer_stats[static_cast<std::size_t>(d)].driver = d;
     sim.Adopt<OltpDriver>(rig.cluster(), d % rig.config().num_cpus, d,
@@ -401,15 +404,17 @@ ScanMixResult RunScanMix(Rig& rig, const ScanMixConfig& config) {
   for (int s = 0; s < config.scanners; ++s) {
     sim.Adopt<ScanDriver>(rig.cluster(),
                           (config.writers + s) % rig.config().num_cpus, s,
-                          rig.catalog(), config, done, result);
+                          rig.catalog(), config, done, result, finish);
   }
   RunUntilDone(sim, done, "scan-mix");
-  result.elapsed_seconds = sim::ToSecondsD(sim.Now() - start);
   for (const auto& w : writer_stats) {
+    finish = std::max(finish, w.finished);
     result.writer_committed += w.committed;
     result.writer_aborted += w.aborted;
     result.writer_response.Merge(w.txn_response);
   }
+  // The last driver's finish, not the RunFor quantum RunUntilDone ends on.
+  result.elapsed_seconds = sim::ToSecondsD(finish - start);
   result.locks = AggregateLockStats(rig) - before;
   return result;
 }

@@ -215,6 +215,11 @@ TEST(ScenarioContention, ScansInterfereWithWriters) {
   EXPECT_GT(alone.writer_committed, 0u);
   // Strict 2PL: scan shared locks must be visible to writers as waits.
   EXPECT_GT(mixed.locks.waits, alone.locks.waits);
+  // Elapsed time is the last driver's finish, not the 60 s RunFor quantum.
+  for (const ScanMixResult* r : {&alone, &mixed}) {
+    EXPECT_GT(r->elapsed_seconds, 0.0);
+    EXPECT_LT(r->elapsed_seconds, 60.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

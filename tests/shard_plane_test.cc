@@ -15,7 +15,10 @@
 // at the first hole: the recovered image is a byte-exact prefix of the
 // logical log, ends on a record boundary, and never loses an acked byte
 // (the cross-shard form of invariants I1/I2/I4). Recovery is also durably
-// idempotent, and the log must accept appends again afterwards.
+// idempotent, and the log must accept appends again afterwards. The
+// same sweep on active NPMUs runs the offloaded RecoverSummary (device
+// stripe scans plus the shared merge) first; its tail and next LSN must
+// agree with the image-based recovery.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -23,10 +26,12 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "nsk/cluster.h"
 #include "pm/manager.h"
 #include "pm/npmu.h"
@@ -179,14 +184,22 @@ struct TornFlushResult {
   std::vector<std::byte> recovered;
   bool idempotent = false;      // a second cold recovery returned the same
   bool post_append_ok = false;  // the log accepts appends again afterwards
+  // Offloaded runs only: the device-side RecoverSummary taken before the
+  // image-based recovery, and how many stripe scans the NPMUs executed.
+  std::optional<Result<tp::LogDevice::RecoverySummary>> summary;
+  std::uint64_t device_scans = 0;
 };
 
 // Builds a 4-shard persistence plane (four PMM pairs, each on its own
 // NPMU pair), streams four 8-record flushes through a ShardedPmLogDevice,
 // and — when `crash_index` is set — kills the writer at that fault site.
 // A second process then cold-recovers the multi-log from the surviving
-// NPMUs. Fully deterministic: a given crash_index replays byte-identically.
-TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index) {
+// NPMUs. With `offload` the NPMUs execute device commands and a fresh
+// device first runs the offloaded RecoverSummary (stripe scans plus the
+// merge). Fully deterministic: a given crash_index replays
+// byte-identically.
+TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index,
+                                     bool offload = false) {
   constexpr int kShards = 4;
   constexpr int kFlushes = 4;  // the last one is the torn candidate
   TornFlushResult out;
@@ -197,13 +210,15 @@ TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index) {
   nsk::Cluster cluster(sim, ccfg);
   const pm::ShardMap map("$PMM", kShards);
 
+  pm::NpmuConfig ncfg;
+  ncfg.active_commands = offload;
   std::vector<std::unique_ptr<pm::Npmu>> npmus;
   for (int s = 0; s < kShards; ++s) {
     const std::string suffix = "-s" + std::to_string(s);
-    pm::Npmu& a = *npmus.emplace_back(
-        std::make_unique<pm::Npmu>(cluster.fabric(), "npmu-a" + suffix));
-    pm::Npmu& b = *npmus.emplace_back(
-        std::make_unique<pm::Npmu>(cluster.fabric(), "npmu-b" + suffix));
+    pm::Npmu& a = *npmus.emplace_back(std::make_unique<pm::Npmu>(
+        cluster.fabric(), "npmu-a" + suffix, ncfg));
+    pm::Npmu& b = *npmus.emplace_back(std::make_unique<pm::Npmu>(
+        cluster.fabric(), "npmu-b" + suffix, ncfg));
     const std::string service = map.ServiceForShard(s);
     auto* p = &sim.AdoptStopped<pm::PmManager>(
         cluster, s % ccfg.num_cpus, service, service + "-P", pm::PmDevice(a),
@@ -226,18 +241,23 @@ TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index) {
   dcfg.map = map;
   dcfg.region_prefix = "audit-T-s";
   dcfg.region_bytes = 2ull << 20;
+  dcfg.offload = offload;
 
-  // The flush's chunk list and its contribution to the logical log.
+  // The flush's bytes and record ends, and its contribution to the
+  // logical log.
   auto build_flush = [&](int f) {
-    std::vector<std::vector<std::byte>> batch;
+    std::pair<std::vector<std::byte>, std::vector<std::uint64_t>> flush;
+    auto& [bytes, marks] = flush;
     for (int c = 0; c < 8; ++c) {
-      batch.push_back(BigChunk(1 + static_cast<std::uint64_t>(f) * 8 +
-                               static_cast<std::uint64_t>(c)));
-      out.expected.insert(out.expected.end(), batch.back().begin(),
-                          batch.back().end());
+      const std::vector<std::byte> chunk =
+          BigChunk(1 + static_cast<std::uint64_t>(f) * 8 +
+                   static_cast<std::uint64_t>(c));
+      bytes.insert(bytes.end(), chunk.begin(), chunk.end());
+      marks.push_back(bytes.size());
+      out.expected.insert(out.expected.end(), chunk.begin(), chunk.end());
       out.boundaries.push_back(out.expected.size());
     }
-    return batch;
+    return flush;
   };
 
   TestProcess& writer = sim.Adopt<TestProcess>(
@@ -245,12 +265,15 @@ TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index) {
         tp::ShardedPmLogDevice dev(dcfg);
         ASSERT_CO(co_await dev.Open(self));
         for (int f = 0; f < kFlushes - 1; ++f) {
-          ASSERT_CO(co_await dev.AppendBatch(self, build_flush(f)));
+          auto [bytes, marks] = build_flush(f);
+          ASSERT_CO(co_await dev.Append(self, std::move(bytes),
+                                        std::move(marks)));
           out.acked_tail = dev.tail();
         }
         out.pre_final_sites = plan.sites_reached();
+        auto [bytes, marks] = build_flush(kFlushes - 1);
         const Status st =
-            co_await dev.AppendBatch(self, build_flush(kFlushes - 1));
+            co_await dev.Append(self, std::move(bytes), std::move(marks));
         out.final_acked = st.ok();
       });
   if (crash_index.has_value()) {
@@ -268,6 +291,10 @@ TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index) {
   // stripes cannot conflict with the new bytes).
   sim.Adopt<TestProcess>(
       cluster, 1, "recover", [&](TestProcess& self) -> Task<void> {
+        if (offload) {
+          tp::ShardedPmLogDevice summarized(dcfg);
+          out.summary = co_await summarized.RecoverSummary(self);
+        }
         tp::ShardedPmLogDevice fresh(dcfg);
         auto log = co_await fresh.RecoverLog(self);
         if (!log.ok()) {
@@ -291,8 +318,24 @@ TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index) {
         out.post_append_ok = log3.ok() && *log3 == want;
       });
   sim.Run();
+  if (const Counter* c = sim.metrics().FindCounter("pm.offload.verify_scans")) {
+    out.device_scans = c->value();
+  }
   sim.Shutdown();
   return out;
+}
+
+// The offloaded summary agrees with the image-based recovery that
+// follows it: same durable tail, and the LSN after the last recovered
+// record.
+void ExpectSummaryMatchesRecovery(const TornFlushResult& r) {
+  ASSERT_TRUE(r.summary.has_value());
+  ASSERT_TRUE(r.summary->ok()) << r.summary->status().ToString();
+  EXPECT_EQ((*r.summary)->durable_tail, r.recovered.size());
+  std::uint64_t last_lsn = 0;
+  tp::LogScanner scan(r.recovered);
+  while (auto rec = scan.Next()) last_lsn = rec->lsn;
+  EXPECT_EQ((*r.summary)->next_lsn, last_lsn + 1);
 }
 
 TEST(ShardedLogRecovery, RecordPassRecoversTheFullLog) {
@@ -371,6 +414,37 @@ TEST(ShardedLogRecovery, TornFlushSweepHoldsInvariants) {
     // Truncation was written back durably, and the log is writable again.
     EXPECT_TRUE(r.idempotent);
     EXPECT_TRUE(r.post_append_ok);
+  }
+}
+
+TEST(ShardedLogRecovery, OffloadedSummaryMatchesRecordPass) {
+  const TornFlushResult r = RunTornFlushScenario(std::nullopt, true);
+  ASSERT_TRUE(r.final_acked);
+  ASSERT_TRUE(r.recover_ok) << r.recover_err;
+  EXPECT_EQ(r.recovered, r.expected);
+  ExpectSummaryMatchesRecovery(r);
+  // The stripe scans ran on the devices, not through the host fallback.
+  EXPECT_GT(r.device_scans, 0u);
+}
+
+TEST(ShardedLogRecovery, OffloadedSummaryTornFlushSweep) {
+  const TornFlushResult record = RunTornFlushScenario(std::nullopt, true);
+  ASSERT_TRUE(record.recover_ok) << record.recover_err;
+  ASSERT_GT(record.trace.size(), record.pre_final_sites);
+  // Every site of the final flush: the stride-5 sweep above misses the
+  // crashes that leave a partly landed flush.
+  for (std::size_t i = record.pre_final_sites; i < record.trace.size(); ++i) {
+    const TornFlushResult r = RunTornFlushScenario(i, true);
+    SCOPED_TRACE("crash @ site " + std::to_string(i) + " (" +
+                 record.trace[i].ToString() + ")");
+    ASSERT_TRUE(r.fired_at.has_value());
+    ASSERT_TRUE(r.recover_ok) << r.recover_err;
+    EXPECT_GE(r.recovered.size(), r.acked_tail);
+    ASSERT_LE(r.recovered.size(), record.expected.size());
+    EXPECT_TRUE(std::equal(r.recovered.begin(), r.recovered.end(),
+                           record.expected.begin()));
+    ExpectSummaryMatchesRecovery(r);
+    EXPECT_GT(r.device_scans, 0u);
   }
 }
 
