@@ -2,6 +2,8 @@
 // configurations (paper §4.3 setup), scale handling, table printing.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -54,6 +56,17 @@ class BenchJson {
   void SetOpsPerSec(const std::string& prefix, const LatencyHistogram& h) {
     const double mean_ns = h.mean();
     Nested(prefix).Set("ops_per_sec", mean_ns > 0 ? 1e9 / mean_ns : 0.0);
+  }
+
+  // Host cell: the process's peak resident set so far (getrusage
+  // ru_maxrss), in MiB. Unlike the simulated-time cells it depends on the
+  // host (page size, sweep thread count).
+  double SetPeakRss() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const double mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
+    root_.Set("peak_rss_mb", mb);
+    return mb;
   }
 
   // Attaches a full registry snapshot under "metrics".

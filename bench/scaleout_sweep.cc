@@ -238,6 +238,7 @@ int main() {
   json.Set("knee_shards", static_cast<double>(knee));
   json.Set("closed_loop_1shard_rec_per_sec", baseline_rec_per_sec);
   json.Set("closed_loop_1shard_mean_us", baseline_mean_us);
+  std::printf("peak RSS: %.0f MB\n", json.SetPeakRss());
   json.Write();
   return 0;
 }

@@ -1,16 +1,70 @@
 #include "pm/npmu.h"
 
-#include <algorithm>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "pm/offload.h"
 
 namespace ods::pm {
 
+namespace {
+
+std::uint64_t PageBytes() {
+  static const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+}  // namespace
+
+DeviceMemory::DeviceMemory(std::uint64_t bytes) : size_(bytes) {
+  if (bytes == 0) return;
+  const std::uint64_t page = PageBytes();
+  const std::uint64_t span = (bytes + page - 1) / page * page;
+  mapping_bytes_ = span + 2 * page;
+  void* mapping = ::mmap(nullptr, mapping_bytes_, PROT_NONE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mapping == MAP_FAILED) throw std::bad_alloc();
+  mapping_ = static_cast<std::byte*>(mapping);
+  if (::mprotect(mapping_ + page, span, PROT_READ | PROT_WRITE) != 0) {
+    ::munmap(mapping_, mapping_bytes_);
+    throw std::bad_alloc();
+  }
+  // Residency must track the bytes written, not 2 MiB around them.
+  ::madvise(mapping_ + page, span, MADV_NOHUGEPAGE);
+  // End-aligned, so the trailing guard page starts at data_ + size_.
+  data_ = mapping_ + page + (span - bytes);
+}
+
+DeviceMemory::DeviceMemory(DeviceMemory&& other) noexcept
+    : mapping_(std::exchange(other.mapping_, nullptr)),
+      mapping_bytes_(std::exchange(other.mapping_bytes_, 0)),
+      data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+DeviceMemory::~DeviceMemory() {
+  if (mapping_ != nullptr) ::munmap(mapping_, mapping_bytes_);
+}
+
+void DeviceMemory::Discard() noexcept {
+  if (mapping_ == nullptr) return;
+  const std::uint64_t page = PageBytes();
+  // Private anonymous pages read as zero again after MADV_DONTNEED. A
+  // failed discard would leave a dead PMP's contents readable.
+  if (::madvise(mapping_ + page, mapping_bytes_ - 2 * page, MADV_DONTNEED) !=
+      0) {
+    std::abort();
+  }
+}
+
 Npmu::Npmu(net::Fabric& fabric, std::string name, NpmuConfig config)
     : name_(std::move(name)), config_(config),
       memory_(kMetadataBytes + config.capacity_bytes),
-      endpoint_(fabric.CreateEndpoint(name_)) {
+      endpoint_(fabric.CreateEndpoint(name_)),
+      media_(config.volatile_staging ? memory_.size() : 0) {
   if (config_.active_commands) {
     endpoint_.InstallCommandHook(
         [this](std::uint32_t opcode, std::span<const std::byte> request) {
@@ -26,7 +80,6 @@ Npmu::Npmu(net::Fabric& fabric, std::string name, NpmuConfig config)
         });
   }
   if (config_.volatile_staging) {
-    media_.resize(memory_.size());
     endpoint_.InstallStagingHooks(
         [this](std::uint64_t nva, std::uint64_t len) {
           return StageWrite(nva, len);
@@ -88,7 +141,7 @@ sim::Task<void> Pmp::Main() {
       // (commands then fail like any other passive endpoint), unlike a
       // hardware NPMU whose engine rides out power loss.
       self->endpoint().InstallCommandHook(nullptr);
-      std::fill(self->memory_.begin(), self->memory_.end(), std::byte{0});
+      self->memory_.Discard();
     }
   } guard{this};
 

@@ -49,6 +49,36 @@ struct NpmuConfig {
   sim::SimDuration command_setup = sim::Microseconds(5);
 };
 
+// Backing store of an NPMU or PMP. Not a std::vector: a device is sized
+// for its whole NVA layout (every ADP's ring plus slack), but the logs
+// touch a fraction of it, and a zero-filled vector would make every byte
+// resident at construction. This is an anonymous private mapping whose
+// pages read as zero and cost no host memory until first written.
+// Device memory is off the malloc heap, so ASan's redzones do not cover
+// it; instead a PROT_NONE guard page sits directly past the last byte
+// (and directly before the first when the size is a page multiple), so
+// an off-by-one access faults in every build.
+class DeviceMemory {
+ public:
+  explicit DeviceMemory(std::uint64_t bytes);  // 0 maps nothing
+  DeviceMemory(DeviceMemory&& other) noexcept;
+  ~DeviceMemory();
+
+  [[nodiscard]] std::byte* data() const noexcept { return data_; }
+  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
+
+  // Zeroes the contents by discarding the pages: the memory stays mapped
+  // at the same address (ATT windows into it stay valid) and no longer
+  // costs host memory.
+  void Discard() noexcept;
+
+ private:
+  std::byte* mapping_ = nullptr;  // leading guard page
+  std::uint64_t mapping_bytes_ = 0;
+  std::byte* data_ = nullptr;
+  std::uint64_t size_ = 0;
+};
+
 // Hardware NPMU: a fabric endpoint backed by non-volatile memory. Not a
 // process — there is deliberately no CPU in the data path.
 class Npmu {
@@ -126,11 +156,11 @@ class Npmu {
 
   std::string name_;
   NpmuConfig config_;
-  std::vector<std::byte> memory_;
+  DeviceMemory memory_;
   net::Endpoint& endpoint_;
   std::uint64_t bytes_persisted_ = 0;
   // Staging model state (empty/idle unless config_.volatile_staging).
-  std::vector<std::byte> media_;
+  DeviceMemory media_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> staged_;  // offset,len
   std::uint64_t staging_generation_ = 1;
   std::uint64_t staging_losses_ = 0;
@@ -164,7 +194,7 @@ class Pmp : public nsk::NskProcess {
 
  private:
   NpmuConfig config_;
-  std::vector<std::byte> memory_;
+  DeviceMemory memory_;
   std::uint64_t bytes_persisted_ = 0;
 };
 

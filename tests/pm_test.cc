@@ -1,9 +1,14 @@
 // Integration tests for the persistent memory system: PMM pair + mirrored
 // NPMUs + client library. Covers the region lifecycle, synchronous
 // mirrored writes, access control end-to-end, PMM failover, NPMU failure,
-// power-loss recovery, and the PMP prototype's volatility.
+// power-loss recovery, the PMP prototype's volatility, and the device
+// memory model (lazy zero pages, guard pages).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -38,6 +43,22 @@ class TestProcess : public nsk::NskProcess {
 
 std::vector<std::byte> Fill(std::size_t n, std::uint8_t v) {
   return std::vector<std::byte>(n, static_cast<std::byte>(v));
+}
+
+// Host pages of [p, p + len) that are resident (mincore). Reading an
+// untouched page maps the shared zero page, which mincore also reports,
+// so callers count before they read.
+std::size_t ResidentPages(const std::byte* p, std::uint64_t len) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto first = reinterpret_cast<std::uintptr_t>(p) / page * page;
+  const auto last = (reinterpret_cast<std::uintptr_t>(p) + len + page - 1) /
+                    page * page;
+  std::vector<unsigned char> pages((last - first) / page);
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(first), last - first,
+                      pages.data()),
+            0);
+  return static_cast<std::size_t>(std::count_if(
+      pages.begin(), pages.end(), [](unsigned char c) { return c & 1; }));
 }
 
 // Full PM rig: 4-CPU cluster, two hardware NPMUs, PMM pair on CPUs 0/1.
@@ -628,18 +649,85 @@ TEST_F(PmFixture, WriteScatterReportsDeadMirrorAndSucceedsOnSurvivor) {
 TEST_F(PmpFixture, PmpLosesContentsWhenItsProcessDies) {
   // The prototype gives "all of the performance characteristics of a
   // hardware NPMU except for the non-volatility" (§4.2).
+  const std::uint64_t device_bytes = kMetadataBytes + pmp->capacity();
   sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
+    // Only the PMM's metadata has been written so far.
+    EXPECT_EQ(ResidentPages(pmp->data_memory(), pmp->capacity()), 0u);
+    EXPECT_LE(ResidentPages(pmp->metadata_memory(), device_bytes), 2u);
     PmClient client(self, "$PMM");
     auto region = co_await client.Create("r1", 4096);
     EXPECT_TRUE(region.ok());
-    EXPECT_TRUE((co_await region->Write(0, Fill(64, 0xAF))).ok());
+    EXPECT_TRUE((co_await region->Write(0, Fill(4096, 0xAF))).ok());
+    const std::size_t written =
+        ResidentPages(pmp->data_memory(), pmp->capacity());
+    EXPECT_GE(written, 1u);
+    EXPECT_LE(written, 2u) << "a 4 KiB write straddles at most two pages";
     EXPECT_EQ(pmp->data_memory()[0], std::byte{0xAF});
     pmp->Kill();
     co_await self.Sleep(Milliseconds(10));
-    EXPECT_EQ(pmp->data_memory()[0], std::byte{0})
+    EXPECT_EQ(ResidentPages(pmp->metadata_memory(), device_bytes), 0u)
+        << "the wipe discards the pages instead of zero-filling them";
+    EXPECT_TRUE(std::all_of(pmp->data_memory(), pmp->data_memory() + 4096,
+                            [](std::byte b) { return b == std::byte{0}; }))
         << "PMP memory is volatile — contents die with the process";
   });
   sim.RunUntil(SimTime{Seconds(2).ns});
+}
+
+// ---------------------------------------------------------- device memory
+
+// Device memory is zero-on-demand: a device sized far beyond what the
+// logs touch costs host memory only for the pages actually written.
+TEST(DeviceMemory, GibibyteNpmuCostsOnlyThePagesWritten) {
+  sim::Simulation sim(17);
+  nsk::Cluster cluster(sim, PmFixture::MakeConfig());
+  Npmu npmu(cluster.fabric(), "npmu-big",
+            NpmuConfig{.capacity_bytes = 1ull << 30});
+  const std::uint64_t device_bytes = kMetadataBytes + npmu.capacity();
+  EXPECT_EQ(ResidentPages(npmu.metadata_memory(), device_bytes), 0u);
+
+  const std::uint64_t offset = 512ull << 20;
+  net::AttWindow w;
+  w.nva_base = kDataBase;
+  w.length = npmu.capacity();
+  w.memory = npmu.data_memory();
+  ASSERT_TRUE(npmu.endpoint().MapWindow(std::move(w)).ok());
+  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
+    EXPECT_TRUE((co_await self.cpu().endpoint().Write(
+                     self, npmu.id(), kDataBase + offset, Fill(4096, 0x3C)))
+                    .ok());
+  });
+  sim.Run();
+  sim.Shutdown();
+
+  const std::size_t resident =
+      ResidentPages(npmu.metadata_memory(), device_bytes);
+  EXPECT_GE(resident, 1u);
+  EXPECT_LE(resident, 2u);
+  EXPECT_EQ(npmu.data_memory()[offset], std::byte{0x3C});
+  EXPECT_EQ(npmu.data_memory()[offset + 4095], std::byte{0x3C});
+}
+
+// Device memory lives off the malloc heap, where ASan's redzones do not
+// reach; guard pages make an off-by-one access fault in every build.
+struct DeviceMemoryDeathTest : ::testing::Test {
+  DeviceMemoryDeathTest()
+      : sim(19), fabric(sim, net::FabricConfig{}),
+        npmu(fabric, "npmu", NpmuConfig{.capacity_bytes = 1 << 20}) {}
+
+  sim::Simulation sim;
+  net::Fabric fabric;
+  Npmu npmu;
+};
+
+TEST_F(DeviceMemoryDeathTest, WritePastDataAreaFaults) {
+  volatile std::byte* past_end = npmu.data_memory() + npmu.capacity();
+  EXPECT_DEATH(*past_end = std::byte{1}, "");
+}
+
+TEST_F(DeviceMemoryDeathTest, WriteBeforeMetadataAreaFaults) {
+  volatile std::byte* before = npmu.metadata_memory() - 1;
+  EXPECT_DEATH(*before = std::byte{1}, "");
 }
 
 }  // namespace

@@ -7,7 +7,9 @@ as heredoc python snippets inside .github/workflows/ci.yml):
   core        BENCH_/TRACE_ files parse; micro_latency and boxcar_sweep
               carry bench+metrics; traces are non-empty.
   scaleout    BENCH_scaleout.json schema + shard-speedup gate against the
-              checked-in baseline (bench/scaleout_baseline.json).
+              checked-in baseline (bench/scaleout_baseline.json) + host
+              memory gate: peak_rss_mb may not exceed the baseline's
+              peak_rss_mb_ceiling (its measured peak x 1.15).
   durability  BENCH_durability_modes.json schema: all four durability
               modes x boxcar sizes, persist-op accounting consistent with
               each mode (posted-write-only performs none), and a
@@ -77,7 +79,8 @@ def check_scaleout(bench_dir, baseline_dir):
         "shards", "drivers", "arrivals", "committed_txns", "aborted_txns",
         "txn_per_sec", "mean_ms", "p99_ms", "p999_ms",
     )
-    for key in ("rows", "max_fleet_drivers", "speedup_4s_over_1s", "knee_shards"):
+    for key in ("rows", "max_fleet_drivers", "speedup_4s_over_1s", "knee_shards",
+                "peak_rss_mb"):
         assert key in cur, f"BENCH_scaleout.json: missing {key}"
     for row in cur["rows"]:
         missing = [k for k in row_keys if k not in row]
@@ -104,6 +107,11 @@ def check_scaleout(bench_dir, baseline_dir):
     ]
     for r in small_1s:
         assert r["committed_txns"] == r["arrivals"], f"1-shard small fleet shed load: {r}"
+    # Host memory: device memory is lazily paged, so the whole matrix
+    # (cells run in parallel) must stay under the pinned ceiling.
+    ceiling = base["peak_rss_mb_ceiling"]
+    print(f"peak RSS: {cur['peak_rss_mb']:.0f} MB (ceiling {ceiling:.0f} MB)")
+    assert cur["peak_rss_mb"] <= ceiling, "scale-out peak RSS above the ceiling"
 
 
 def check_durability(bench_dir, _baseline_dir):
