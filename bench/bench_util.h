@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,13 +143,17 @@ inline workload::HotStockConfig PaperWorkload(int drivers, int boxcar) {
   return hs;
 }
 
-// Runs one hot-stock configuration in a fresh simulation.
-inline workload::HotStockResult RunConfig(bool pm, int drivers, int boxcar,
-                                          std::uint64_t seed = 1) {
-  sim::Simulation sim(seed);
+// Runs one hot-stock configuration in a fresh simulation. `inspect`,
+// when set, reads the run's metrics registry before the simulation ends.
+inline workload::HotStockResult RunConfig(
+    bool pm, int drivers, int boxcar,
+    const std::function<void(const MetricsRegistry&)>& inspect = {}) {
+  sim::Simulation sim(1);
   workload::Rig rig(sim, PaperRig(pm));
   sim.RunFor(sim::Seconds(1));  // stack bring-up
-  return workload::RunHotStock(rig, PaperWorkload(drivers, boxcar));
+  auto result = workload::RunHotStock(rig, PaperWorkload(drivers, boxcar));
+  if (inspect) inspect(sim.metrics());
+  return result;
 }
 
 inline const char* TxnSizeLabel(int boxcar) {

@@ -722,9 +722,9 @@ AppendBenchResult RunPmAppendBench(bool piggyback, int appends,
           out.latency.Record(
               static_cast<std::uint64_t>((self.sim().Now() - t0).ns));
         }
-        out.piggybacked = dev.pipeline_stats()->piggybacked.value();
       });
   sim.Run();
+  out.piggybacked = sim.metrics().CounterValue("pm.log.piggybacked");
   return out;
 }
 

@@ -31,6 +31,11 @@ const LatencyHistogram* MetricsRegistry::FindHistogram(
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
+std::uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
+  const Counter* c = FindCounter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
 JsonValue MetricsRegistry::Snapshot() const {
   JsonValue counters = JsonValue::Object();
   for (const auto& [name, c] : counters_) {

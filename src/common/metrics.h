@@ -32,6 +32,8 @@ class MetricsRegistry {
   [[nodiscard]] const Counter* FindCounter(std::string_view name) const;
   [[nodiscard]] const LatencyHistogram* FindHistogram(
       std::string_view name) const;
+  // Value of counter `name`; 0 when it was never registered.
+  [[nodiscard]] std::uint64_t CounterValue(std::string_view name) const;
 
   // {"counters": {name: value, ...}, "histograms": {name: {count, min_ns,
   //  max_ns, mean_ns, p50_ns, p90_ns, p99_ns}, ...}} — keys sorted by

@@ -99,30 +99,4 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-// Instrumentation for the pipelined durable-write path (pm/client.h's
-// PmWritePipeline and tp/log_device.cc's piggybacked appends). The
-// benches report these to show where the latency win comes from:
-// overlap (depth histogram), batching (coalesced), and round-trip
-// elimination (piggybacked).
-struct PipelineStats {
-  Counter issued;       // ops handed to the fabric
-  Counter coalesced;    // ops absorbed into an adjacent in-flight/staged op
-  Counter piggybacked;  // control blocks carried as a gather segment
-  LatencyHistogram depth;  // in-flight queue depth sampled at each submit
-
-  void Merge(const PipelineStats& other) noexcept {
-    issued.Add(other.issued.value());
-    coalesced.Add(other.coalesced.value());
-    piggybacked.Add(other.piggybacked.value());
-    depth.Merge(other.depth);
-  }
-
-  void Reset() noexcept {
-    issued.Reset();
-    coalesced.Reset();
-    piggybacked.Reset();
-    depth.Reset();
-  }
-};
-
 }  // namespace ods

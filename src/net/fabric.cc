@@ -276,7 +276,6 @@ sim::Future<Status> Endpoint::StartWriteChain(EndpointId target,
                    cfg.packet_latency *
                        static_cast<std::int64_t>(shape.packets) +
                    persist_lat + cfg.ack_latency;
-      fabric_.persist_ops_total_++;
       fabric_.persist_packets_ += shape.packets;
       fabric_.persist_bytes_ += shape.bytes;
       fabric_.packets_sent_ += shape.packets;
@@ -621,9 +620,15 @@ Counter& Fabric::PersistCounter(DurabilityMode mode) {
   return *c;
 }
 
+std::uint64_t Fabric::persist_ops() const noexcept {
+  std::uint64_t total = 0;
+  for (const Counter* c : persist_ops_) {
+    if (c != nullptr) total += c->value();
+  }
+  return total;
+}
+
 void Fabric::NoteCommand(std::uint64_t bytes) {
-  command_ops_ += 1;
-  command_bytes_ += bytes;
   // Lazily registered so passive runs (which never issue device
   // commands) keep the seed's metrics export byte-identical.
   if (cmd_ops_counter_ == nullptr) {

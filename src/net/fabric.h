@@ -343,9 +343,7 @@ class Fabric {
   // Persist-primitive accounting: ops/packets/bytes spent on the persist
   // phase of non-posted durability modes (excluded from
   // bytes_transferred(), which counts payload only).
-  [[nodiscard]] std::uint64_t persist_ops() const noexcept {
-    return persist_ops_total_;
-  }
+  [[nodiscard]] std::uint64_t persist_ops() const noexcept;
   [[nodiscard]] std::uint64_t persist_packets() const noexcept {
     return persist_packets_;
   }
@@ -361,10 +359,10 @@ class Fabric {
   // request+response bytes on the wire. Excluded from
   // bytes_transferred(), which counts RDMA data payload only.
   [[nodiscard]] std::uint64_t command_ops() const noexcept {
-    return command_ops_;
+    return cmd_ops_counter_ == nullptr ? 0 : cmd_ops_counter_->value();
   }
   [[nodiscard]] std::uint64_t command_bytes() const noexcept {
-    return command_bytes_;
+    return cmd_bytes_counter_ == nullptr ? 0 : cmd_bytes_counter_->value();
   }
   // Total message payload bytes posted via Endpoint::PostMessage (the
   // NSK message system). Messages pay wire latency but were never
@@ -404,12 +402,9 @@ class Fabric {
   std::uint64_t rdma_read_ops_ = 0;
   std::uint64_t write_packets_ = 0;
   std::uint64_t read_packets_ = 0;
-  std::uint64_t persist_ops_total_ = 0;
   std::uint64_t persist_packets_ = 0;
   std::uint64_t persist_bytes_ = 0;
   std::uint64_t persist_failures_ = 0;
-  std::uint64_t command_ops_ = 0;
-  std::uint64_t command_bytes_ = 0;
   std::uint64_t message_bytes_ = 0;
   // Cached registry counters, one per rail ("fabric.rail<K>.packets");
   // resolved once at construction so the per-packet path is a pointer

@@ -408,20 +408,25 @@ Task<Status> PmWriteToken::Wait() {
 
 // --------------------------------------------------------------- pipeline
 
+PmWritePipeline::PmWritePipeline(PmRegion& region) : region_(&region) {
+  MetricsRegistry& m = region.simulation()->metrics();
+  issued_ = &m.GetCounter("pm.pipeline.issued");
+  coalesced_ = &m.GetCounter("pm.pipeline.coalesced");
+  depth_ = &m.GetHistogram("pm.pipeline.depth");
+}
+
 Task<void> PmWritePipeline::IssueStaged() {
   // Backpressure: at depth, retire the oldest token first. Completion
   // order is issue order (one ingress link per mirror), so the front
   // token is the first to resolve.
-  while (inflight_.size() >= config_.queue_depth) {
+  while (inflight_.size() >= kQueueDepth) {
     PmWriteToken oldest = std::move(inflight_.front());
     inflight_.pop_front();
     Status st = co_await oldest.Wait();
     if (!st.ok() && error_.ok()) error_ = st;
   }
-  if (stats_ != nullptr) {
-    stats_->issued.Increment();
-    stats_->depth.Record(inflight_.size());
-  }
+  issued_->Increment();
+  depth_->Record(inflight_.size());
   if (sim::Simulation* s = region_->simulation();
       s != nullptr && s->tracer() != nullptr && s->tracer()->enabled()) {
     s->tracer()->Instant(TraceLane::kPmClient, "pm.pipeline_issue",
@@ -437,11 +442,11 @@ Task<void> PmWritePipeline::IssueStaged() {
 Task<Status> PmWritePipeline::Submit(std::uint64_t offset,
                                      std::vector<std::byte> bytes,
                                      std::uint64_t op_id) {
-  if (staged_.has_value() && config_.coalesce_adjacent &&
+  if (staged_.has_value() &&
       staged_->offset + staged_->bytes.size() == offset &&
-      staged_->bytes.size() + bytes.size() <= config_.max_coalesce_bytes) {
+      staged_->bytes.size() + bytes.size() <= kMaxCoalesceBytes) {
     staged_->bytes.insert(staged_->bytes.end(), bytes.begin(), bytes.end());
-    if (stats_ != nullptr) stats_->coalesced.Increment();
+    coalesced_->Increment();
     co_return error_;
   }
   if (staged_.has_value()) co_await IssueStaged();

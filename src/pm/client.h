@@ -201,24 +201,25 @@ class PmRegion {
   std::uint64_t bytes_written_ = 0;
 };
 
-// Pipelines mirrored writes through a region at a configurable queue
-// depth. Writes are staged one op at a time; a submit adjacent to the
-// staged op is merged into it (one fabric op instead of two), and a full
-// queue exerts backpressure by awaiting the oldest in-flight token.
+// Pipelines mirrored writes through a region at a fixed queue depth.
+// Writes are staged one op at a time; a submit adjacent to the staged op
+// is merged into it (one fabric op instead of two), and a full queue
+// exerts backpressure by awaiting the oldest in-flight token.
 // Single-submitter discipline: one fiber calls Submit/Drain. Durability
 // point is Drain(): it resolves once everything submitted so far is
 // persistent and returns the first error seen since the previous Drain.
+//
+// Counts go to the bound host's metrics registry: "pm.pipeline.issued"
+// (ops handed to the fabric), "pm.pipeline.coalesced" (submits merged
+// into the staged op) and "pm.pipeline.depth" (in-flight depth sampled
+// at each issue).
 class PmWritePipeline {
  public:
-  struct Config {
-    std::size_t queue_depth = 8;   // max in-flight fabric ops
-    bool coalesce_adjacent = true;
-    std::size_t max_coalesce_bytes = 256 * 1024;
-  };
+  static constexpr std::size_t kQueueDepth = 8;  // max in-flight fabric ops
+  static constexpr std::size_t kMaxCoalesceBytes = 256 * 1024;
 
-  PmWritePipeline(PmRegion& region, Config config,
-                  PipelineStats* stats = nullptr) noexcept
-      : region_(&region), config_(config), stats_(stats) {}
+  // `region` must be bound (it supplies the registry).
+  explicit PmWritePipeline(PmRegion& region);
 
   // Queues a write of `bytes` at `offset`. Blocks only for backpressure
   // (queue at depth), never for durability. `op_id` tags the staged
@@ -239,8 +240,9 @@ class PmWritePipeline {
   sim::Task<void> IssueStaged();
 
   PmRegion* region_;
-  Config config_;
-  PipelineStats* stats_;
+  Counter* issued_ = nullptr;
+  Counter* coalesced_ = nullptr;
+  LatencyHistogram* depth_ = nullptr;
   std::optional<PmRegion::ScatterOp> staged_;
   std::uint64_t staged_op_id_ = 0;  // trace tag of the staged op
   std::deque<PmWriteToken> inflight_;

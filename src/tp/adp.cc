@@ -33,31 +33,20 @@ AdpProcess::AdpProcess(nsk::Cluster& cluster, int cpu_index,
                        std::unique_ptr<LogDevice> device, AdpConfig config)
     : PairMember(cluster, cpu_index, std::move(service_name),
                  std::move(member_name)),
-      device_(std::move(device)), config_(config) {}
+      device_(std::move(device)), config_(config),
+      flushes_(&sim().metrics().GetCounter("adp.flushes")),
+      flushed_bytes_(&sim().metrics().GetCounter("adp.flushed_bytes")),
+      coalesced_checkpoints_(
+          &sim().metrics().GetCounter("adp.coalesced_checkpoints")),
+      flush_latency_(&sim().metrics().GetHistogram(
+          "adp." + this->service_name() + ".flush_latency_ns")) {}
 
 Task<void> AdpProcess::OnBecomePrimary(bool via_takeover) {
   const sim::SimTime t0 = sim().Now();
   (void)co_await device_->Open(*this);
-  if (!state_valid_ && config_.offload_recovery && !config_.retain_log_image) {
-    // Near-data recovery: ask the device to walk its own frames and
-    // return only the summary (tail, frame count, last LSN) — the log
-    // bytes never cross the fabric. Any failure falls through to the
-    // host-scan path below; correctness never depends on the offload.
-    auto summary = co_await device_->RecoverSummary(*this);
-    if (summary.ok()) {
-      durable_tail_ = summary->durable_tail;
-      next_lsn_ = std::max(next_lsn_, summary->next_lsn);
-      state_valid_ = true;
-    } else {
-      ODS_WLOG("adp", "%s: offload recovery failed, host scan: %s",
-               name().c_str(), summary.status().ToString().c_str());
-    }
-  }
-  if (!state_valid_) {
-    // No surviving in-memory state (fresh start or post-power-loss
-    // restart): re-derive the durable tail and next LSN from the medium.
-    // This is where disk (full scan) and PM (direct read) diverge — the
-    // paper's MTTR claim.
+  if (!state_valid_ && config_.retain_log_image) {
+    // No surviving in-memory state, and DP2 recovery reads the host-side
+    // image: recover it whole and re-derive the next LSN from it.
     auto log = co_await device_->RecoverLog(*this);
     if (log.ok()) {
       durable_tail_ = device_->tail();
@@ -65,11 +54,26 @@ Task<void> AdpProcess::OnBecomePrimary(bool via_takeover) {
       while (auto rec = scanner.Next()) {
         next_lsn_ = std::max(next_lsn_, rec->lsn + 1);
       }
-      if (config_.retain_log_image) log_image_ = std::move(*log);
+      log_image_ = std::move(*log);
       state_valid_ = true;
     } else {
       ODS_WLOG("adp", "%s: log recovery failed: %s", name().c_str(),
                log.status().ToString().c_str());
+    }
+  } else if (!state_valid_) {
+    // No surviving in-memory state (fresh start or post-power-loss
+    // restart): re-derive the durable tail and next LSN from the medium.
+    // This is where disk (full scan), PM (direct read) and an active
+    // NPMU (device-side scan, no log bytes on the fabric) diverge — the
+    // paper's MTTR claim. The device picks its own path.
+    auto summary = co_await device_->RecoverSummary(*this);
+    if (summary.ok()) {
+      durable_tail_ = summary->durable_tail;
+      next_lsn_ = std::max(next_lsn_, summary->next_lsn);
+      state_valid_ = true;
+    } else {
+      ODS_WLOG("adp", "%s: log recovery failed: %s", name().c_str(),
+               summary.status().ToString().c_str());
     }
   } else {
     // Promoted with checkpointed state: install the tail on the device.
@@ -114,7 +118,6 @@ Task<Status> AdpProcess::BufferRecords(std::span<const std::byte> payload,
     rec->lsn = next_lsn_++;
     if (last_txn != nullptr) *last_txn = rec->txn;
     FrameRecord(*rec, framed);
-    ++records_buffered_;
   }
   buffer_.insert(buffer_.end(), framed.begin(), framed.end());
   buffer_marks_.push_back(buffer_.size());
@@ -151,7 +154,7 @@ Task<void> AdpProcess::CkptPumpLoop() {
     // this one checkpoint.
     const std::uint64_t cohort_end = buffered_tail_;
     const std::size_t cohort = ckpt_waiters_.size();
-    coalesced_checkpoints_ += cohort - 1;
+    coalesced_checkpoints_->Add(cohort - 1);
     Serializer ckpt;
     ckpt.PutU8(kCkptBuffer);
     ckpt.PutU64(next_lsn_);
@@ -219,12 +222,8 @@ Task<void> AdpProcess::FlushLoop() {
       if (st.ok()) {
         durable_tail_ = target;
         durable_confirmed_ = std::max(durable_confirmed_, confirmed);
-        ++flushes_;
-        ++overlapped_flushes_;
-        flushed_bytes_ += batch_size;
-        auto& m = sim().metrics();
-        m.GetCounter("adp.flushes").Increment();
-        m.GetCounter("adp.flushed_bytes").Add(batch_size);
+        flushes_->Increment();
+        flushed_bytes_->Add(batch_size);
       }
       if (Tracer* tr = sim().tracer(); tr != nullptr && tr->enabled()) {
         tr->Complete(TraceLane::kAdp, "adp.flush_io", io_start.ns,
@@ -244,8 +243,7 @@ Task<void> AdpProcess::FlushLoop() {
       } else if (w.target <= durable_tail_) {
         const auto wait_ns =
             static_cast<std::uint64_t>((sim().Now() - w.enqueued).ns);
-        flush_latency_.Record(wait_ns);
-        sim().metrics().GetHistogram("adp.flush_latency_ns").Record(wait_ns);
+        flush_latency_->Record(wait_ns);
         Serializer s;
         s.PutU64(durable_tail_);
         w.request.Respond(OkStatus(), std::move(s).Take());

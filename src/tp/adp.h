@@ -32,16 +32,16 @@ namespace ods::tp {
 struct AdpConfig {
   // Keep an in-memory mirror of the durable log so DP2 recovery can read
   // it without re-scanning the device (costs host memory ∝ log size;
-  // enable in recovery tests, off for long benchmarks).
+  // enable in recovery tests, off for long benchmarks). Without it, cold
+  // recovery asks the device for a summary (LogDevice::RecoverSummary),
+  // which an active NPMU answers without shipping the log image.
   bool retain_log_image = false;
-  // Cold recovery via the device's summary scan (VerifyScan on an active
-  // NPMU): re-derive durable tail and next LSN without pulling the log
-  // image across the fabric. Falls back to the host scan when the device
-  // is passive or the command fails. No effect when retain_log_image is
-  // set (DP2 replay then needs the host-side image anyway).
-  bool offload_recovery = false;
 };
 
+// Counts go to the metrics registry: "adp.flushes", "adp.flushed_bytes"
+// and "adp.coalesced_checkpoints" summed over every ADP of the run, and
+// one flush-latency histogram per trail, "adp.<service>.flush_latency_ns",
+// shared by the pair's primary and backup.
 class AdpProcess : public nsk::PairMember {
  public:
   AdpProcess(nsk::Cluster& cluster, int cpu_index, std::string service_name,
@@ -49,23 +49,9 @@ class AdpProcess : public nsk::PairMember {
              AdpConfig config = {});
 
   // ---- accounting ----
-  [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
-  [[nodiscard]] std::uint64_t flushed_bytes() const noexcept {
-    return flushed_bytes_;
-  }
-  [[nodiscard]] std::uint64_t records_buffered() const noexcept {
-    return records_buffered_;
-  }
-  // Flushes whose device append and backup checkpoint ran concurrently.
-  [[nodiscard]] std::uint64_t overlapped_flushes() const noexcept {
-    return overlapped_flushes_;
-  }
-  // kAdpBuffer checkpoints absorbed into an already-pending one.
-  [[nodiscard]] std::uint64_t coalesced_checkpoints() const noexcept {
-    return coalesced_checkpoints_;
-  }
+  // This trail's flush latency: commit-flush request to durable ack.
   [[nodiscard]] const LatencyHistogram& flush_latency() const noexcept {
-    return flush_latency_;
+    return *flush_latency_;
   }
   [[nodiscard]] sim::SimDuration last_recovery_time() const noexcept {
     return last_recovery_time_;
@@ -159,12 +145,11 @@ class AdpProcess : public nsk::PairMember {
 
   std::vector<std::byte> log_image_;  // mirror (config_.retain_log_image)
 
-  std::uint64_t flushes_ = 0;
-  std::uint64_t flushed_bytes_ = 0;
-  std::uint64_t records_buffered_ = 0;
-  std::uint64_t overlapped_flushes_ = 0;
-  std::uint64_t coalesced_checkpoints_ = 0;
-  LatencyHistogram flush_latency_;
+  // Registry handles, resolved at construction.
+  Counter* flushes_;
+  Counter* flushed_bytes_;
+  Counter* coalesced_checkpoints_;
+  LatencyHistogram* flush_latency_;
   sim::SimDuration last_recovery_time_{0};
 };
 

@@ -68,7 +68,6 @@ class Dp2Process : public nsk::PairMember {
   [[nodiscard]] std::uint64_t aborts_undone() const noexcept {
     return aborts_undone_;
   }
-  [[nodiscard]] const LockManager& locks() const noexcept { return locks_; }
   [[nodiscard]] std::size_t record_count() const noexcept {
     return table_.size();
   }

@@ -6,6 +6,13 @@ namespace ods::tp {
 
 using sim::Task;
 
+LockManager::LockManager(sim::Simulation& sim)
+    : sim_(&sim),
+      grants_(&sim.metrics().GetCounter("tp.lock.grants")),
+      waits_(&sim.metrics().GetCounter("tp.lock.waits")),
+      timeouts_(&sim.metrics().GetCounter("tp.lock.timeouts")),
+      wait_time_(&sim.metrics().GetHistogram("tp.lock.wait_ns")) {}
+
 bool LockManager::Compatible(const LockState& st, std::uint64_t txn,
                              LockMode mode) noexcept {
   for (const Holder& h : st.holders) {
@@ -40,18 +47,18 @@ Task<Status> LockManager::Acquire(sim::Process& proc, std::uint64_t txn,
     // an upgrade behind strangers would deadlock against itself.)
     Grant(st, txn, mode);
     if (!already_holds) held_by_txn_[txn].push_back(key);
-    ++grants_;
+    grants_->Increment();
     co_return OkStatus();
   }
   // Queue and wait (FIFO).
-  ++waits_;
+  waits_->Increment();
   st.queue.push_back(Waiter{txn, mode, sim::Promise<Status>(*sim_), false});
   auto future = st.queue.back().granted.GetFuture();
   const sim::SimTime wait_start = sim_->Now();
   auto result = co_await future.WaitFor(proc, timeout);
-  wait_time_.Record(static_cast<std::uint64_t>((sim_->Now() - wait_start).ns));
+  wait_time_->Record(static_cast<std::uint64_t>((sim_->Now() - wait_start).ns));
   if (result.has_value()) {
-    ++grants_;
+    grants_->Increment();
     co_return *result;  // granted (PumpQueue recorded the hold)
   }
   if (future.ready()) {
@@ -59,13 +66,13 @@ Task<Status> LockManager::Acquire(sim::Process& proc, std::uint64_t txn,
     // the lock: the grant is already recorded in holders/held_by_txn_,
     // so we must accept it — returning kTimedOut here would leave a
     // zombie hold that the aborting txn never knows to release.
-    ++grants_;
+    grants_->Increment();
     co_return OkStatus();
   }
   // Timed out: cancel our queue entry if it is still there, and re-pump —
   // a dead exclusive waiter at the head must not keep blocking grantable
   // waiters behind it until some unrelated ReleaseAll happens by.
-  ++timeouts_;
+  timeouts_->Increment();
   auto it = locks_.find(key);
   if (it != locks_.end()) {
     for (Waiter& w : it->second.queue) {

@@ -26,9 +26,13 @@ struct LockKey {
 
 enum class LockMode { kShared, kExclusive };
 
+// Counts go to the metrics registry, summed over every lock manager of
+// the run: "tp.lock.grants", "tp.lock.waits", "tp.lock.timeouts", and
+// "tp.lock.wait_ns", the sim-time spent blocked on the slow path (queued
+// waits only; fast-path grants record nothing).
 class LockManager {
  public:
-  explicit LockManager(sim::Simulation& sim) noexcept : sim_(&sim) {}
+  explicit LockManager(sim::Simulation& sim);
 
   // Blocks the calling fiber until granted or `timeout` expires
   // (kTimedOut — caller should abort the transaction). Re-entrant: a txn
@@ -50,16 +54,6 @@ class LockManager {
   [[nodiscard]] bool IsHeld(LockKey key) const noexcept {
     auto it = locks_.find(key);
     return it != locks_.end() && !it->second.holders.empty();
-  }
-  [[nodiscard]] std::uint64_t grants() const noexcept { return grants_; }
-  [[nodiscard]] std::uint64_t waits() const noexcept { return waits_; }
-  [[nodiscard]] std::uint64_t timeouts() const noexcept { return timeouts_; }
-
-  // Sim-time spent blocked on the slow path (queued waits only; fast-path
-  // grants record nothing). Kept as a plain member — NOT in the sim
-  // metrics registry — so uncontended workloads stay byte-identical.
-  [[nodiscard]] const LatencyHistogram& wait_time() const noexcept {
-    return wait_time_;
   }
 
  private:
@@ -87,10 +81,10 @@ class LockManager {
   sim::Simulation* sim_;
   std::map<LockKey, LockState> locks_;
   std::map<std::uint64_t, std::vector<LockKey>> held_by_txn_;
-  std::uint64_t grants_ = 0;
-  std::uint64_t waits_ = 0;
-  std::uint64_t timeouts_ = 0;
-  LatencyHistogram wait_time_;
+  Counter* grants_;
+  Counter* waits_;
+  Counter* timeouts_;
+  LatencyHistogram* wait_time_;
 };
 
 }  // namespace ods::tp

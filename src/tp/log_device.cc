@@ -183,20 +183,15 @@ Task<Status> PmLogStream::Open(nsk::NskProcess& host,
                                const std::string& pmm_service,
                                const std::string& name,
                                std::uint64_t ring_bytes,
-                               std::optional<DurabilityMode> durability,
-                               PipelineStats* stats) {
+                               std::optional<DurabilityMode> durability) {
   pm::PmClient client(host, pmm_service);
   auto region = co_await client.Create(name, kDataBase + ring_bytes);
   if (!region.ok()) co_return region.status();
   region_ = std::move(*region);
   region_->set_durability(durability);
-  pipeline_.emplace(*region_,
-                    pm::PmWritePipeline::Config{kPipelineDepth,
-                                                /*coalesce_adjacent=*/true,
-                                                /*max_coalesce_bytes=*/256 << 10},
-                    stats);
+  pipeline_.emplace(*region_);
   ring_bytes_ = ring_bytes;
-  stats_ = stats;
+  piggybacked_ = &host.sim().metrics().GetCounter("pm.log.piggybacked");
   co_return OkStatus();
 }
 
@@ -216,7 +211,7 @@ Task<Status> PmLogStream::Commit(std::uint64_t ring_pos,
     ops.push_back({kDataBase + phys, std::move(data)});
     ops.push_back({0, std::move(control)});
     auto st = co_await region_->WriteChain(std::move(ops), op_id);
-    if (st.ok()) stats_->piggybacked.Increment();
+    if (st.ok()) piggybacked_->Increment();
     co_return st;
   }
   // Wrap / ablation path: pipeline the data extents, drain the pipeline,
@@ -237,7 +232,7 @@ Task<Status> PmLogStream::Commit(std::uint64_t ring_pos,
 Task<Status> PmLogDevice::Open(nsk::NskProcess& host) {
   co_return co_await stream_.Open(host, config_.pmm_service,
                                   config_.region_name, config_.region_bytes,
-                                  config_.durability, &stats_);
+                                  config_.durability);
 }
 
 Task<Status> PmLogDevice::Append(nsk::NskProcess& host,
@@ -410,7 +405,7 @@ Task<Status> ShardedPmLogDevice::Open(nsk::NskProcess& host) {
     auto status = co_await st.log.Open(
         host, config_.map.ServiceForShard(static_cast<int>(s)),
         config_.region_prefix + std::to_string(s), config_.region_bytes,
-        config_.durability, &stats_);
+        config_.durability);
     if (!status.ok()) co_return status;
     // Restore the stream's committed state from its control block — this
     // is what lets a promoted backup keep appending without a scan.

@@ -72,11 +72,6 @@ class LogDevice {
                                    std::vector<std::uint64_t> marks = {},
                                    std::uint64_t op_id = 0) = 0;
 
-  // Pipelining instrumentation, when the device has any (PM only).
-  [[nodiscard]] virtual const PipelineStats* pipeline_stats() const noexcept {
-    return nullptr;
-  }
-
   // Recovery with no surviving in-memory state: locate the durable tail
   // and return the retained log image (in log order). The time this takes
   // — scan vs direct read — is the MTTR experiment.
@@ -170,8 +165,6 @@ class PmLogStream {
  public:
   // Region layout: [control block | data ring].
   static constexpr std::uint64_t kDataBase = 64;
-  // Queue depth of the write pipeline used on the non-piggybacked path.
-  static constexpr std::size_t kPipelineDepth = 8;
 
   PmLogStream() = default;
   // The pipeline points into the region: the stream never moves.
@@ -183,8 +176,7 @@ class PmLogStream {
   // fabric-wide mode) and attaches the write pipeline.
   sim::Task<Status> Open(nsk::NskProcess& host, const std::string& pmm_service,
                          const std::string& name, std::uint64_t ring_bytes,
-                         std::optional<DurabilityMode> durability,
-                         PipelineStats* stats);
+                         std::optional<DurabilityMode> durability);
 
   // Durably writes `data` at ring position `ring_pos` (taken modulo the
   // ring), then `control` at offset 0; returns once both are durable.
@@ -206,7 +198,7 @@ class PmLogStream {
   std::optional<pm::PmRegion> region_;
   std::optional<pm::PmWritePipeline> pipeline_;
   std::uint64_t ring_bytes_ = 0;
-  PipelineStats* stats_ = nullptr;
+  Counter* piggybacked_ = nullptr;  // "pm.log.piggybacked"
 };
 
 struct PmLogConfig {
@@ -254,9 +246,6 @@ class PmLogDevice final : public LogDevice {
   [[nodiscard]] std::uint64_t tail() const noexcept override { return tail_; }
   void set_tail(std::uint64_t tail) noexcept override { tail_ = tail; }
   [[nodiscard]] std::string_view kind() const noexcept override { return "pm"; }
-  [[nodiscard]] const PipelineStats* pipeline_stats() const noexcept override {
-    return &stats_;
-  }
   void Reset() noexcept override {
     stream_.Reset();
     tail_ = 0;
@@ -277,7 +266,6 @@ class PmLogDevice final : public LogDevice {
 
   PmLogConfig config_;
   PmLogStream stream_;
-  PipelineStats stats_;
   std::uint64_t tail_ = 0;
   // Logical offset of the first retained byte (> 0 after a Compact).
   std::uint64_t base_ = 0;
@@ -352,9 +340,6 @@ class ShardedPmLogDevice final : public LogDevice {
   [[nodiscard]] std::string_view kind() const noexcept override {
     return "pm-sharded";
   }
-  [[nodiscard]] const PipelineStats* pipeline_stats() const noexcept override {
-    return &stats_;
-  }
   void Reset() noexcept override {
     streams_.clear();
     tail_ = 0;
@@ -405,7 +390,6 @@ class ShardedPmLogDevice final : public LogDevice {
 
   ShardedPmLogConfig config_;
   std::vector<ShardStream> streams_;
-  PipelineStats stats_;
   std::uint64_t tail_ = 0;       // global logical tail (payload bytes)
   std::uint64_t flush_seq_ = 0;  // total committed flushes (round-robin)
   // Set when a flush could not land on any stream: appending above the

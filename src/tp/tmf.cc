@@ -67,7 +67,9 @@ TmfProcess::TmfProcess(nsk::Cluster& cluster, int cpu_index,
                        TmfConfig config)
     : PairMember(cluster, cpu_index, std::move(service_name),
                  std::move(member_name)),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      commits_(&sim().metrics().GetCounter("tmf.commits")),
+      aborts_(&sim().metrics().GetCounter("tmf.aborts")) {
   if (config_.pm_tcb) {
     PmLogConfig log_cfg;
     log_cfg.pmm_service = config_.pmm_service;
@@ -182,8 +184,7 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
   if (!st.ok()) {
     co_await NoteState(txn, TxnState::kAborted);
     ResolveFanout(txn, false, dp2s);
-    ++aborts_;
-    sim().metrics().GetCounter("tmf.aborts").Increment();
+    aborts_->Increment();
     req.Respond(Status(ErrorCode::kAborted,
                        "audit flush failed: " + st.ToString()));
     if (tr != nullptr && tr->enabled()) {
@@ -192,8 +193,7 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
     co_return;
   }
   co_await NoteState(txn, TxnState::kCommitted);
-  ++commits_;
-  sim().metrics().GetCounter("tmf.commits").Increment();
+  commits_->Increment();
   req.Respond(OkStatus());
   if (tr != nullptr && tr->enabled()) {
     tr->AsyncEnd(TraceLane::kTmf, "txn.commit", sim().Now().ns, txn);
@@ -220,8 +220,7 @@ Task<void> TmfProcess::HandleAbort(Request& req) {
   for (const std::string& adp : adps) {
     (void)co_await Call(adp, kAdpBuffer, MakeOutcomeBatch(txn, false));
   }
-  ++aborts_;
-  sim().metrics().GetCounter("tmf.aborts").Increment();
+  aborts_->Increment();
   // Undo must complete before the client can safely reuse the keys.
   for (const std::string& dp2 : dp2s) {
     nsk::CallOptions opts;

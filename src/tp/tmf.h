@@ -54,8 +54,6 @@ class TmfProcess : public nsk::PairMember {
   TmfProcess(nsk::Cluster& cluster, int cpu_index, std::string service_name,
              std::string member_name, TmfConfig config);
 
-  [[nodiscard]] std::uint64_t commits() const noexcept { return commits_; }
-  [[nodiscard]] std::uint64_t aborts() const noexcept { return aborts_; }
   [[nodiscard]] sim::SimDuration last_recovery_time() const noexcept {
     return last_recovery_time_;
   }
@@ -100,8 +98,9 @@ class TmfProcess : public nsk::PairMember {
   std::map<std::uint64_t, TxnState> tcbs_;
   std::unique_ptr<PmLogDevice> tcb_log_;
   bool state_valid_ = false;
-  std::uint64_t commits_ = 0;
-  std::uint64_t aborts_ = 0;
+  // Registry handles: "tmf.commits" and "tmf.aborts".
+  Counter* commits_;
+  Counter* aborts_;
   sim::SimDuration last_recovery_time_{0};
 };
 

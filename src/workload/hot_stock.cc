@@ -235,13 +235,6 @@ HotStockResult RunHotStock(Rig& rig, const HotStockConfig& config) {
     finish = std::max(finish, d.finished);
   }
   result.elapsed_seconds = sim::ToSecondsD(finish - start);
-  for (tp::AdpProcess* adp : rig.adps()) {
-    result.overlapped_flushes += adp->overlapped_flushes();
-    result.coalesced_checkpoints += adp->coalesced_checkpoints();
-    if (const PipelineStats* ps = adp->device().pipeline_stats()) {
-      result.piggybacked_controls += ps->piggybacked.value();
-    }
-  }
   return result;
 }
 

@@ -87,11 +87,6 @@ struct DriverStats {
 struct HotStockResult {
   std::vector<DriverStats> drivers;
   double elapsed_seconds = 0;  // wall (simulated) time for all drivers
-  // Pipelined-write-engine counters aggregated over the rig's ADPs
-  // (zero on the disk medium).
-  std::uint64_t piggybacked_controls = 0;  // control blocks ridden on data
-  std::uint64_t overlapped_flushes = 0;    // append ∥ checkpoint flushes
-  std::uint64_t coalesced_checkpoints = 0; // buffer ckpts merged into one
   [[nodiscard]] double MeanResponseUs() const;
   [[nodiscard]] std::uint64_t TotalCommitted() const;
   // All drivers' response histograms merged (for p99/p99.9 readouts).

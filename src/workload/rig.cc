@@ -124,7 +124,6 @@ void Rig::BuildPm() {
 void Rig::BuildAdps() {
   tp::AdpConfig adp_cfg;
   adp_cfg.retain_log_image = config_.retain_log_image;
-  adp_cfg.offload_recovery = config_.pm_offload;
   for (int i = 0; i < config_.num_adps; ++i) {
     const std::string service = Catalog::AdpName(i);
     const int cpu = i % config_.num_cpus;
@@ -301,13 +300,8 @@ Rig::PersistenceAccounting Rig::Account() const {
     add_pair(shard.pmm_primary);
     add_pair(shard.pmm_backup);
   }
-  auto add_adp = [&](const tp::AdpProcess* a) {
-    if (a == nullptr) return;
-    acct.audit_flushes += a->flushes();
-    acct.audit_bytes += a->flushed_bytes();
-  };
-  for (auto* a : adp_primaries_) add_adp(a);
-  for (auto* a : adp_backups_) add_adp(a);
+  acct.audit_flushes = sim_.metrics().CounterValue("adp.flushes");
+  acct.audit_bytes = sim_.metrics().CounterValue("adp.flushed_bytes");
   return acct;
 }
 

@@ -74,13 +74,13 @@ std::uint64_t ZipfianGenerator::Next(Rng& rng) const noexcept {
 // Shared plumbing
 
 LockStats AggregateLockStats(Rig& rig) {
+  const MetricsRegistry& m = rig.sim().metrics();
   LockStats s;
-  for (tp::Dp2Process* dp2 : rig.dp2s()) {
-    const tp::LockManager& lm = dp2->locks();
-    s.grants += lm.grants();
-    s.waits += lm.waits();
-    s.timeouts += lm.timeouts();
-    s.wait_time.Merge(lm.wait_time());
+  s.grants = m.CounterValue("tp.lock.grants");
+  s.waits = m.CounterValue("tp.lock.waits");
+  s.timeouts = m.CounterValue("tp.lock.timeouts");
+  if (const LatencyHistogram* h = m.FindHistogram("tp.lock.wait_ns")) {
+    s.wait_time = *h;
   }
   return s;
 }

@@ -59,7 +59,8 @@ class ZipfianGenerator {
 // ---------------------------------------------------------------------------
 // Shared plumbing
 
-// Lock-manager counters aggregated over every DP2 partition of the rig.
+// Lock-manager counters of the rig's run (the "tp.lock.*" metrics,
+// summed over every DP2 partition).
 struct LockStats {
   std::uint64_t grants = 0;
   std::uint64_t waits = 0;

@@ -135,7 +135,8 @@ TEST_F(LockFixture, RandomizedSchedulesHoldInvariants) {
     for (int k = 0; k < kKeys; ++k)
       EXPECT_FALSE(m.IsHeld({0, static_cast<std::uint64_t>(k)}))
           << "seed " << seed << " key " << k;
-    EXPECT_GE(m.grants(), static_cast<std::uint64_t>(kTxns));
+    EXPECT_GE(s.metrics().CounterValue("tp.lock.grants"),
+              static_cast<std::uint64_t>(kTxns));
   }
 }
 
@@ -285,10 +286,11 @@ TEST_F(LockFixture, QueuedUpgradeReleasesCleanly) {
     mgr.ReleaseAll(2);
     co_await self.Sleep(Milliseconds(10));
     // Both gone; a third txn must get X immediately (fast path, no wait).
-    const std::uint64_t waits_before = mgr.waits();
+    const std::uint64_t waits_before =
+        sim.metrics().CounterValue("tp.lock.waits");
     EXPECT_TRUE((co_await mgr.Acquire(self, 3, {0, 2}, LockMode::kExclusive,
                                       Seconds(1))).ok());
-    EXPECT_EQ(mgr.waits(), waits_before);
+    EXPECT_EQ(sim.metrics().CounterValue("tp.lock.waits"), waits_before);
     mgr.ReleaseAll(3);
   });
   EXPECT_FALSE(mgr.IsHeld({0, 2}));
@@ -309,10 +311,12 @@ TEST_F(LockFixture, WaitTimeHistogramRecordsBlockedTime) {
     co_await self.Sleep(Milliseconds(25));
     mgr.ReleaseAll(1);
   });
-  ASSERT_EQ(mgr.wait_time().count(), 1u);
+  const LatencyHistogram* wait = sim.metrics().FindHistogram("tp.lock.wait_ns");
+  ASSERT_NE(wait, nullptr);
+  ASSERT_EQ(wait->count(), 1u);
   // Log-bucketed histogram: the recorded wait rounds to its bucket, so
   // check the quantile is in the right octave rather than exact.
-  const auto p50 = static_cast<std::int64_t>(mgr.wait_time().Percentile(0.5));
+  const auto p50 = static_cast<std::int64_t>(wait->Percentile(0.5));
   EXPECT_GE(p50, Milliseconds(20).ns);
   EXPECT_LE(p50, Milliseconds(40).ns);
 }

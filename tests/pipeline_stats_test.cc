@@ -1,9 +1,10 @@
-// Cross-checks the PM write engine's own accounting (PipelineStats on
-// tp::PmLogDevice / pm::PmWritePipeline) against the fabric's observed
-// packet counters. The two are maintained in different layers — the
-// pipeline counts what it decided to do (issue, coalesce, piggyback),
-// the fabric counts what actually hit the wire — so agreement here means
-// the bench numbers built from either source describe the same traffic.
+// Cross-checks the PM write engine's own accounting (the "pm.pipeline.*"
+// and "pm.log.piggybacked" metrics kept by pm::PmWritePipeline and
+// tp::PmLogStream) against the fabric's observed packet counters. The
+// two are maintained in different layers — the write engine counts what
+// it decided to do (issue, coalesce, piggyback), the fabric counts what
+// actually hit the wire — so agreement here means the bench numbers
+// built from either source describe the same traffic.
 //
 // The arithmetic being verified (FabricConfig defaults, mtu = 512):
 //   * every mirrored write is TWO chained RDMA ops (primary + mirror),
@@ -23,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "net/fabric.h"
 #include "nsk/cluster.h"
 #include "pm/client.h"
@@ -59,6 +61,22 @@ struct FabricSnapshot {
   static FabricSnapshot Take(const net::Fabric& f) {
     return {f.rdma_write_ops(), f.write_packets(), f.read_packets(),
             f.rail_packets(0), f.rail_packets(1)};
+  }
+};
+
+// The write engine's counters, read from the run's metrics registry.
+struct EngineCounts {
+  std::uint64_t piggybacked = 0;
+  std::uint64_t issued = 0;
+  std::uint64_t coalesced = 0;
+  std::uint64_t depth_samples = 0;
+
+  static EngineCounts Take(const MetricsRegistry& m) {
+    const LatencyHistogram* depth = m.FindHistogram("pm.pipeline.depth");
+    return {m.CounterValue("pm.log.piggybacked"),
+            m.CounterValue("pm.pipeline.issued"),
+            m.CounterValue("pm.pipeline.coalesced"),
+            depth == nullptr ? 0 : depth->count()};
   }
 };
 
@@ -122,13 +140,11 @@ TEST_F(PipelineStatsFixture, PiggybackedAppendsMatchFabricPacketCounts) {
     }
     const auto after = FabricSnapshot::Take(cluster.fabric());
 
-    const PipelineStats* stats = dev.pipeline_stats();
-    EXPECT_NE(stats, nullptr);
-    if (stats == nullptr) co_return;
-    EXPECT_EQ(stats->piggybacked.value(), std::size(sizes));
-    EXPECT_EQ(stats->issued.value(), 0u);  // pipeline never engaged
-    EXPECT_EQ(stats->coalesced.value(), 0u);
-    EXPECT_EQ(stats->depth.count(), 0u);
+    const auto stats = EngineCounts::Take(sim.metrics());
+    EXPECT_EQ(stats.piggybacked, std::size(sizes));
+    EXPECT_EQ(stats.issued, 0u);  // pipeline never engaged
+    EXPECT_EQ(stats.coalesced, 0u);
+    EXPECT_EQ(stats.depth_samples, 0u);
 
     EXPECT_EQ(after.write_ops - before.write_ops, 2 * std::size(sizes));
     EXPECT_EQ(after.write_packets - before.write_packets, expect_packets);
@@ -165,13 +181,11 @@ TEST_F(PipelineStatsFixture, AblationPathIssuesDataThenControlSeparately) {
     }
     const auto after = FabricSnapshot::Take(cluster.fabric());
 
-    const PipelineStats* stats = dev.pipeline_stats();
-    EXPECT_NE(stats, nullptr);
-    if (stats == nullptr) co_return;
-    EXPECT_EQ(stats->piggybacked.value(), 0u);
-    EXPECT_EQ(stats->issued.value(), std::size(sizes));
-    EXPECT_EQ(stats->coalesced.value(), 0u);
-    EXPECT_EQ(stats->depth.count(), std::size(sizes));
+    const auto stats = EngineCounts::Take(sim.metrics());
+    EXPECT_EQ(stats.piggybacked, 0u);
+    EXPECT_EQ(stats.issued, std::size(sizes));
+    EXPECT_EQ(stats.coalesced, 0u);
+    EXPECT_EQ(stats.depth_samples, std::size(sizes));
 
     // Per append: 2 data ops + 2 control ops.
     EXPECT_EQ(after.write_ops - before.write_ops, 4 * std::size(sizes));
@@ -203,12 +217,10 @@ TEST_F(PipelineStatsFixture, RingWrapFallsBackToPipelinedExtents) {
     const auto after = FabricSnapshot::Take(cluster.fabric());
     EXPECT_EQ(dev.tail(), 5000u);
 
-    const PipelineStats* stats = dev.pipeline_stats();
-    EXPECT_NE(stats, nullptr);
-    if (stats == nullptr) co_return;
-    EXPECT_EQ(stats->piggybacked.value(), 1u);
-    EXPECT_EQ(stats->issued.value(), 2u);
-    EXPECT_EQ(stats->coalesced.value(), 0u);
+    const auto stats = EngineCounts::Take(sim.metrics());
+    EXPECT_EQ(stats.piggybacked, 1u);
+    EXPECT_EQ(stats.issued, 2u);
+    EXPECT_EQ(stats.coalesced, 0u);
 
     // Append 1: one chain per mirror. Append 2: two pipeline issues plus
     // the control write, each mirrored.
@@ -233,10 +245,7 @@ TEST_F(PipelineStatsFixture, CoalescedSubmitsCollapseIntoOneFabricOp) {
     EXPECT_TRUE(region.ok()) << region.status().ToString();
     if (!region.ok()) co_return;
 
-    PipelineStats stats;
-    pm::PmWritePipeline pipe(*region,
-                             pm::PmWritePipeline::Config{4, true, 256 << 10},
-                             &stats);
+    pm::PmWritePipeline pipe(*region);
     const auto before = FabricSnapshot::Take(cluster.fabric());
     // Three adjacent submits merge into one staged 768-byte op...
     EXPECT_TRUE((co_await pipe.Submit(0, Fill(256, 1))).ok());
@@ -247,9 +256,10 @@ TEST_F(PipelineStatsFixture, CoalescedSubmitsCollapseIntoOneFabricOp) {
     EXPECT_TRUE((co_await pipe.Drain()).ok());
     const auto after = FabricSnapshot::Take(cluster.fabric());
 
-    EXPECT_EQ(stats.coalesced.value(), 2u);
-    EXPECT_EQ(stats.issued.value(), 2u);
-    EXPECT_EQ(stats.depth.count(), 2u);
+    const auto stats = EngineCounts::Take(sim.metrics());
+    EXPECT_EQ(stats.coalesced, 2u);
+    EXPECT_EQ(stats.issued, 2u);
+    EXPECT_EQ(stats.depth_samples, 2u);
 
     EXPECT_EQ(after.write_ops - before.write_ops, 4u);  // 2 issues x mirrors
     EXPECT_EQ(after.write_packets - before.write_packets,

@@ -578,7 +578,7 @@ TEST_F(PmFixture, WriteAsyncAndDrainSurviveMirrorFailure) {
     PmClient client(self, "$PMM");
     auto region = co_await client.Create("r1", 64 * 1024);
     EXPECT_TRUE(region.ok());
-    PmWritePipeline pipe(*region, PmWritePipeline::Config{4, false, 0});
+    PmWritePipeline pipe(*region);
     EXPECT_TRUE((co_await pipe.Submit(0, Fill(256, 0x10))).ok());
     EXPECT_TRUE((co_await pipe.Drain()).ok());
     npmu_b.Fail();  // mirror dies with writes still to come
@@ -598,14 +598,12 @@ TEST_F(PmFixture, WriteAsyncAndDrainSurviveMirrorFailure) {
 }
 
 TEST_F(PmFixture, PipelineCoalescesAdjacentSubmits) {
-  PipelineStats stats;
   sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
     PmClient client(self, "$PMM");
     auto region = co_await client.Create("r1", 64 * 1024);
     EXPECT_TRUE(region.ok());
     const std::uint64_t writes_before = region->writes();
-    PmWritePipeline pipe(*region, PmWritePipeline::Config{8, true, 1 << 20},
-                         &stats);
+    PmWritePipeline pipe(*region);
     // Four back-to-back extents: one staged op, three merged into it.
     EXPECT_TRUE((co_await pipe.Submit(0, Fill(128, 0x01))).ok());
     EXPECT_TRUE((co_await pipe.Submit(128, Fill(128, 0x02))).ok());
@@ -620,8 +618,8 @@ TEST_F(PmFixture, PipelineCoalescesAdjacentSubmits) {
     EXPECT_EQ((*back)[511], std::byte{0x04});
   });
   sim.RunUntil(SimTime{Seconds(5).ns});
-  EXPECT_EQ(stats.coalesced.value(), 3u);
-  EXPECT_EQ(stats.issued.value(), 1u);
+  EXPECT_EQ(sim.metrics().CounterValue("pm.pipeline.coalesced"), 3u);
+  EXPECT_EQ(sim.metrics().CounterValue("pm.pipeline.issued"), 1u);
 }
 
 TEST_F(PmFixture, WriteScatterReportsDeadMirrorAndSucceedsOnSurvivor) {

@@ -102,8 +102,8 @@ TEST_F(TmfAdpFixture, TxnStateMachine) {
     EXPECT_TRUE((co_await client.Abort(*t2)).ok());
     EXPECT_EQ(rig->tmf().StateOf(t2->id), TxnState::kAborted);
   });
-  EXPECT_EQ(rig->tmf().commits(), 1u);
-  EXPECT_EQ(rig->tmf().aborts(), 1u);
+  EXPECT_EQ(sim->metrics().CounterValue("tmf.commits"), 1u);
+  EXPECT_EQ(sim->metrics().CounterValue("tmf.aborts"), 1u);
 }
 
 TEST_F(TmfAdpFixture, CommitOfUnknownTxnRejected) {
@@ -274,7 +274,7 @@ TEST_F(TmfAdpFixture, GroupCommitSharesFlushes) {
   }
   sim->RunFor(Seconds(120));
   EXPECT_EQ(finished, kApps);
-  const std::uint64_t flushes = rig->adps()[0]->flushes();
+  const std::uint64_t flushes = sim->metrics().CounterValue("adp.flushes");
   EXPECT_LT(flushes, static_cast<std::uint64_t>(kApps * kTxns))
       << "group commit must batch concurrent commit flushes";
   EXPECT_GT(flushes, 0u);

@@ -131,7 +131,7 @@ TEST_F(LockFixture, SharedLocksCoexist) {
                                       Seconds(1))).ok());
     EXPECT_TRUE((co_await mgr.Acquire(self, 2, {0, 5}, LockMode::kShared,
                                       Seconds(1))).ok());
-    EXPECT_EQ(mgr.waits(), 0u);
+    EXPECT_EQ(sim.metrics().CounterValue("tp.lock.waits"), 0u);
   });
 }
 
@@ -208,7 +208,7 @@ TEST_F(LockFixture, DifferentKeysIndependent) {
                                       Seconds(1))).ok());
     EXPECT_TRUE((co_await mgr.Acquire(self, 3, {1, 1}, LockMode::kExclusive,
                                       Seconds(1))).ok());
-    EXPECT_EQ(mgr.waits(), 0u);
+    EXPECT_EQ(sim.metrics().CounterValue("tp.lock.waits"), 0u);
   });
 }
 
@@ -236,7 +236,7 @@ TEST_F(LockFixture, DeadlockBrokenByTimeout) {
     }
   });
   EXPECT_GE(timeouts, 1);
-  EXPECT_GE(mgr.timeouts(), 1u);
+  EXPECT_GE(sim.metrics().CounterValue("tp.lock.timeouts"), 1u);
 }
 
 // ------------------------------------------------------------ log devices

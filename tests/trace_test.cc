@@ -7,6 +7,8 @@
 //   * op-id threading — one committed boxcar transaction is followable
 //     across every lane (workload -> TMF -> ADP -> PM client -> fabric)
 //     by the op id stamped into the exported events;
+//   * metrics plane — registry counters agree with the trace of the same
+//     run;
 //   * BenchJson — the bench harness writes a nested document that parses
 //     back with the registry snapshot and latency summaries intact.
 #include "common/trace.h"
@@ -14,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 #include <span>
@@ -47,6 +50,15 @@ workload::RigConfig SmallPmRig() {
   return cfg;
 }
 
+workload::HotStockConfig SmallHotStock() {
+  workload::HotStockConfig hs;
+  hs.drivers = 2;
+  hs.inserts_per_txn = 8;
+  hs.records_per_driver = 64;
+  hs.record_bytes = 512;
+  return hs;
+}
+
 // Runs a small PM-backed hot-stock workload with tracing on and returns
 // the exported Chrome trace. Everything inside is seeded from `seed`.
 std::string RunTracedHotStock(std::uint64_t seed) {
@@ -57,12 +69,7 @@ std::string RunTracedHotStock(std::uint64_t seed) {
   {
     workload::Rig rig(sim, SmallPmRig());
     sim.RunFor(sim::Seconds(1));
-    workload::HotStockConfig hs;
-    hs.drivers = 2;
-    hs.inserts_per_txn = 8;
-    hs.records_per_driver = 64;
-    hs.record_bytes = 512;
-    (void)workload::RunHotStock(rig, hs);
+    (void)workload::RunHotStock(rig, SmallHotStock());
   }
   sim.set_tracer(nullptr);
   return tracer.ToChromeJson();
@@ -87,6 +94,10 @@ TEST(TraceDeterminism, SeededHotStockRunsExportIdenticalBytes) {
 // 5738 events on this config, the calendar engine 5354, because batched
 // fabric delivery applies a boxcar's packets in one event instead of N.
 // The count is asserted so the event budget can't silently drift.
+//
+// The metrics snapshot is pinned apart from the trace: it changes when
+// the metric catalogue (DESIGN.md §5c) gains or loses a name, which
+// moves no simulated event.
 TEST(TraceDeterminism, GoldenBytesMatchSeedEngine) {
   for (std::uint64_t seed : {42ull, 11ull}) {
     sim::Simulation sim(seed);
@@ -97,12 +108,7 @@ TEST(TraceDeterminism, GoldenBytesMatchSeedEngine) {
     {
       workload::Rig rig(sim, SmallPmRig());
       sim.RunFor(sim::Seconds(1));
-      workload::HotStockConfig hs;
-      hs.drivers = 2;
-      hs.inserts_per_txn = 8;
-      hs.records_per_driver = 64;
-      hs.record_bytes = 512;
-      (void)workload::RunHotStock(rig, hs);
+      (void)workload::RunHotStock(rig, SmallHotStock());
       metrics = sim.metrics().Snapshot().Serialize();
     }
     sim.set_tracer(nullptr);
@@ -112,10 +118,10 @@ TEST(TraceDeterminism, GoldenBytesMatchSeedEngine) {
     EXPECT_EQ(Crc32c(std::as_bytes(std::span(trace.data(), trace.size()))),
               0xfd4fc063u)
         << "seed " << seed;
-    EXPECT_EQ(metrics.size(), 440u) << "seed " << seed;
+    EXPECT_EQ(metrics.size(), 952u) << "seed " << seed;
     EXPECT_EQ(
         Crc32c(std::as_bytes(std::span(metrics.data(), metrics.size()))),
-        0x7f1096d9u)
+        0xbca67ddau)
         << "seed " << seed;
   }
 }
@@ -214,6 +220,41 @@ TEST(TraceOpId, OneCommitIsFollowableAcrossAllLanes) {
     }
   }
   EXPECT_TRUE(found) << "no op id spans all five trace lanes";
+}
+
+// The registry holds one tally per quantity; the trace is an independent
+// record of the same run, so the two must agree. Every durable ADP flush
+// is one adp.flush_io span with ok=1, and every commit a driver saw
+// succeed is one tmf.commits increment.
+TEST(MetricsPlane, RegistryAgreesWithTrace) {
+  sim::Simulation sim(42);
+  Tracer tracer;
+  tracer.Enable(1u << 15);
+  sim.set_tracer(&tracer);
+  {
+    workload::Rig rig(sim, SmallPmRig());
+    sim.RunFor(sim::Seconds(1));
+    const workload::HotStockResult result =
+        workload::RunHotStock(rig, SmallHotStock());
+
+    std::uint64_t durable_flush_spans = 0;
+    tracer.ForEach([&](const TraceEvent& e) {
+      if (std::strcmp(e.name, "adp.flush_io") == 0 &&
+          e.arg_key[1] != nullptr && std::strcmp(e.arg_key[1], "ok") == 0 &&
+          e.arg_val[1] == 1) {
+        ++durable_flush_spans;
+      }
+    });
+    ASSERT_EQ(tracer.dropped(), 0u) << "the ring must hold the whole run";
+    const MetricsRegistry& m = sim.metrics();
+    EXPECT_GT(durable_flush_spans, 0u);
+    EXPECT_EQ(m.CounterValue("adp.flushes"), durable_flush_spans);
+    EXPECT_EQ(rig.Account().audit_flushes, durable_flush_spans);
+
+    EXPECT_GT(result.TotalCommitted(), 0u);
+    EXPECT_EQ(m.CounterValue("tmf.commits"), result.TotalCommitted());
+  }
+  sim.set_tracer(nullptr);
 }
 
 TEST(BenchJson, WritesNestedDocumentThatRoundTrips) {

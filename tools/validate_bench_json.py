@@ -5,7 +5,10 @@ Consolidates the CI's bench-JSON checks in one place (they used to live
 as heredoc python snippets inside .github/workflows/ci.yml):
 
   core        BENCH_/TRACE_ files parse; micro_latency and boxcar_sweep
-              carry bench+metrics; traces are non-empty.
+              carry bench+metrics; traces are non-empty; boxcar_sweep's
+              metrics snapshot (a PM hot-stock run) holds every layer
+              counter in LAYER_COUNTERS and an adp.<trail>.flush_latency_ns
+              histogram, all nonzero — a refactor that drops one fails.
   scaleout    BENCH_scaleout.json schema + shard-speedup gate against the
               checked-in baseline (bench/scaleout_baseline.json) + host
               memory gate: peak_rss_mb may not exceed the baseline's
@@ -41,6 +44,12 @@ import json
 import os
 import sys
 
+# Per-layer counters a PM hot-stock run must report through the metrics
+# registry: ADP group commit, ADP checkpoint coalescing, the piggybacked
+# PM log commit and the DP2 lock layer.
+LAYER_COUNTERS = ("adp.flushes", "adp.coalesced_checkpoints",
+                  "pm.log.piggybacked", "tp.lock.grants")
+
 MODES = ("posted-write-only", "native-flush", "write-raw", "write-ack")
 CORRECT_MODES = tuple(m for m in MODES if m != "posted-write-only")
 
@@ -65,6 +74,21 @@ def check_core(bench_dir, _baseline_dir):
         assert "bench" in doc and "metrics" in doc, f"{name}: missing bench/metrics keys"
     for name in ("TRACE_micro_latency.json", "TRACE_boxcar_sweep.json"):
         assert docs[name]["traceEvents"], f"{name}: empty trace"
+    check_metrics_plane(docs["BENCH_boxcar_sweep.json"]["metrics"])
+
+
+def check_metrics_plane(metrics):
+    counters = metrics.get("counters", {})
+    for key in LAYER_COUNTERS:
+        assert counters.get(key, 0) > 0, \
+            f"BENCH_boxcar_sweep.json metrics: counter {key} missing or zero"
+    flush = [name for name, h in metrics.get("histograms", {}).items()
+             if name.startswith("adp.") and name.endswith(".flush_latency_ns")
+             and h.get("count", 0) > 0]
+    assert flush, ("BENCH_boxcar_sweep.json metrics: no "
+                   "adp.<trail>.flush_latency_ns histogram with samples")
+    print(f"metrics plane: {', '.join(LAYER_COUNTERS)} > 0; "
+          f"{len(flush)} trail flush-latency histograms")
 
 
 def check_scaleout(bench_dir, baseline_dir):
