@@ -531,52 +531,56 @@ sim::Future<RdmaResult> Endpoint::StartCommand(EndpointId target,
   return fut;
 }
 
+namespace {
+
+const Status& StatusOf(const Status& s) noexcept { return s; }
+const Status& StatusOf(const RdmaResult& r) noexcept { return r.status; }
+
+// Re-posts `start` once per rail while it fails kUnavailable and some rail
+// is still healthy — models the NSK message system's automatic X/Y rail
+// failover.
+template <typename T>
+sim::Task<T> RetryPerRail(Fabric& fabric, sim::Process& proc,
+                          std::function<sim::Future<T>()> start) {
+  T last;
+  for (int attempt = 0; attempt < std::max(1, fabric.config().num_rails);
+       ++attempt) {
+    last = co_await start().Wait(proc);
+    if (StatusOf(last).code() != ErrorCode::kUnavailable ||
+        fabric.FirstHealthyRail() < 0) {
+      break;
+    }
+  }
+  co_return last;
+}
+
+}  // namespace
+
 sim::Task<Status> Endpoint::Write(sim::Process& proc, EndpointId target,
                                   std::uint64_t nva,
                                   std::vector<std::byte> data,
                                   std::uint64_t op_id,
                                   std::optional<DurabilityMode> mode) {
-  // Retry once per rail on transient unavailability — models the NSK
-  // message system's automatic X/Y rail failover.
-  Status last;
-  for (int attempt = 0; attempt < std::max(1, fabric_.config().num_rails);
-       ++attempt) {
-    last = co_await StartWrite(target, nva, data, op_id, mode).Wait(proc);
-    if (last.ok() || last.code() != ErrorCode::kUnavailable) co_return last;
-    if (fabric_.FirstHealthyRail() < 0) co_return last;
-  }
-  co_return last;
+  co_return co_await RetryPerRail<Status>(fabric_, proc, [&] {
+    return StartWrite(target, nva, data, op_id, mode);
+  });
 }
 
 sim::Task<RdmaResult> Endpoint::Read(sim::Process& proc, EndpointId target,
                                      std::uint64_t nva, std::uint64_t len,
                                      std::uint64_t op_id) {
-  RdmaResult last;
-  for (int attempt = 0; attempt < std::max(1, fabric_.config().num_rails);
-       ++attempt) {
-    last = co_await StartRead(target, nva, len, op_id).Wait(proc);
-    if (last.status.ok() || last.status.code() != ErrorCode::kUnavailable) {
-      co_return last;
-    }
-    if (fabric_.FirstHealthyRail() < 0) co_return last;
-  }
-  co_return last;
+  co_return co_await RetryPerRail<RdmaResult>(fabric_, proc, [&] {
+    return StartRead(target, nva, len, op_id);
+  });
 }
 
 sim::Task<RdmaResult> Endpoint::Command(sim::Process& proc, EndpointId target,
                                         std::uint32_t opcode,
                                         std::vector<std::byte> request,
                                         std::uint64_t op_id) {
-  RdmaResult last;
-  for (int attempt = 0; attempt < std::max(1, fabric_.config().num_rails);
-       ++attempt) {
-    last = co_await StartCommand(target, opcode, request, op_id).Wait(proc);
-    if (last.status.ok() || last.status.code() != ErrorCode::kUnavailable) {
-      co_return last;
-    }
-    if (fabric_.FirstHealthyRail() < 0) co_return last;
-  }
-  co_return last;
+  co_return co_await RetryPerRail<RdmaResult>(fabric_, proc, [&] {
+    return StartCommand(target, opcode, request, op_id);
+  });
 }
 
 void Endpoint::PostMessage(EndpointId target, std::uint32_t kind,

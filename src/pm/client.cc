@@ -134,269 +134,154 @@ Task<bool> PmRegion::ReportDeviceDown(std::uint32_t endpoint) {
   co_return true;
 }
 
-Task<Status> PmRegion::ResolveMirrored(Status sp, std::optional<Status> sm_opt,
-                                       std::uint64_t nbytes) {
-  const bool mirror_issued = sm_opt.has_value();
-  Status sm = mirror_issued ? std::move(*sm_opt) : OkStatus();
-  if (sp.ok() && sm.ok()) {
-    ++writes_;
-    bytes_written_ += nbytes;
-    co_return OkStatus();
-  }
-  // Exactly one mirror failed with a device-level error: data is durable
-  // on the survivor. Report, refresh roles, succeed — but only if the
-  // PMM durably recorded the loss. Acking on an unrecorded demotion
-  // would let a recovery resurrect the stale device as a live mirror
-  // that silently misses this write.
-  const bool primary_dead = sp.code() == ErrorCode::kUnavailable;
-  const bool mirror_dead = sm.code() == ErrorCode::kUnavailable;
-  if (primary_dead && !mirror_dead && sm.ok() && mirror_issued) {
-    if (co_await ReportDeviceDown(handle_.primary_endpoint)) {
-      ++writes_;
-      bytes_written_ += nbytes;
-      co_return OkStatus();
+Result<PmRegion::InFlight> PmRegion::Issue(std::vector<ScatterOp> ops,
+                                           bool chained,
+                                           std::uint64_t op_id) {
+  if (!valid()) return Status(ErrorCode::kFailedPrecondition, "unbound");
+  InFlight w;
+  for (const ScatterOp& op : ops) {
+    if (op.offset + op.bytes.size() > handle_.length) {
+      return Status(ErrorCode::kOutOfRange, "write beyond region");
     }
-    co_return sp;
+    w.nbytes += op.bytes.size();
   }
-  if (mirror_dead && !primary_dead && sp.ok()) {
-    if (co_await ReportDeviceDown(handle_.mirror_endpoint)) {
-      ++writes_;
-      bytes_written_ += nbytes;
-      co_return OkStatus();
+  std::vector<std::vector<net::ChainSegment>> chains(chained ? 1 : 0);
+  for (ScatterOp& op : ops) {
+    if (!chained) chains.emplace_back();
+    chains.back().push_back(
+        net::ChainSegment{handle_.nva + op.offset, std::move(op.bytes)});
+  }
+  net::Endpoint& ep = host_->cpu().endpoint();
+  w.issued_ns = host_->sim().Now().ns;
+  w.legs.reserve(chains.size());
+  for (std::vector<net::ChainSegment>& chain : chains) {
+    MirrorLegs l{ep.StartWriteChain(net::EndpointId{handle_.primary_endpoint},
+                                    chain, op_id, durability_),
+                 std::nullopt};
+    if (handle_.mirror_up) {
+      l.mirror = ep.StartWriteChain(net::EndpointId{handle_.mirror_endpoint},
+                                    std::move(chain), op_id, durability_);
     }
-    co_return sm;
+    w.legs.push_back(std::move(l));
   }
-  co_return sp.ok() ? sm : sp;
+  return w;
 }
 
-Task<Status> PmRegion::CompleteMirrored(sim::Future<Status> fp,
-                                        std::optional<sim::Future<Status>> fm,
-                                        std::uint64_t nbytes,
-                                        const char* span_name,
-                                        std::int64_t issued_ns,
-                                        std::uint64_t op_id) {
-  Status sp = co_await fp.Wait(*host_);
-  std::optional<Status> sm;
-  if (fm) sm = co_await fm->Wait(*host_);
-  Status st = co_await ResolveMirrored(std::move(sp), std::move(sm), nbytes);
-  if (Tracer* tr = host_->sim().tracer(); tr != nullptr && tr->enabled()) {
-    tr->Complete(TraceLane::kPmClient, span_name, issued_ns,
-                 host_->sim().Now().ns, op_id, "bytes", nbytes, "ok",
-                 st.ok() ? 1 : 0);
-    if (const char* pn = PersistSpanName(EffectiveDurability())) {
-      tr->Instant(TraceLane::kPmClient, pn, host_->sim().Now().ns, op_id,
-                  "ok", st.ok() ? 1 : 0);
+Task<Status> PmRegion::Resolve(std::vector<LegStatus> ops) {
+  enum class Dead : std::uint8_t { kNone, kPrimary, kMirror };
+  std::vector<Dead> dead(ops.size(), Dead::kNone);
+  bool primary_dead = false;
+  bool mirror_dead = false;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Status& sp = ops[i].primary;
+    const std::optional<Status>& sm = ops[i].mirror;
+    if (sp.code() == ErrorCode::kUnavailable && sm && sm->ok()) {
+      dead[i] = Dead::kPrimary;
+      primary_dead = true;
+    } else if (sp.ok() && sm && sm->code() == ErrorCode::kUnavailable) {
+      dead[i] = Dead::kMirror;
+      mirror_dead = true;
     }
   }
+  // Report after every leg resolved, endpoints read before the first
+  // report refreshes the handle, so roles cannot mix across ops.
+  const std::uint32_t primary_ep = handle_.primary_endpoint;
+  const std::uint32_t mirror_ep = handle_.mirror_endpoint;
+  bool primary_recorded = false;
+  bool mirror_recorded = false;
+  if (primary_dead) primary_recorded = co_await ReportDeviceDown(primary_ep);
+  if (mirror_dead) mirror_recorded = co_await ReportDeviceDown(mirror_ep);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if ((dead[i] == Dead::kPrimary && primary_recorded) ||
+        (dead[i] == Dead::kMirror && mirror_recorded)) {
+      continue;
+    }
+    if (!ops[i].primary.ok()) co_return ops[i].primary;
+    if (ops[i].mirror && !ops[i].mirror->ok()) co_return *ops[i].mirror;
+  }
+  co_return OkStatus();
+}
+
+Task<Status> PmRegion::Settle(std::vector<MirrorLegs> legs) {
+  std::vector<LegStatus> ops;
+  ops.reserve(legs.size());
+  for (MirrorLegs& l : legs) {
+    LegStatus& s = ops.emplace_back();
+    s.primary = co_await l.primary.Wait(*host_);
+    if (l.mirror) s.mirror = co_await l.mirror->Wait(*host_);
+  }
+  co_return co_await Resolve(std::move(ops));
+}
+
+void PmRegion::TraceWrite(const char* span_name, const InFlight& w,
+                          std::uint64_t op_id, const char* key,
+                          std::uint64_t value) {
+  Tracer* tr = host_->sim().tracer();
+  if (tr == nullptr || !tr->enabled()) return;
+  const std::int64_t now = host_->sim().Now().ns;
+  tr->Complete(TraceLane::kPmClient, span_name, w.issued_ns, now, op_id,
+               "bytes", w.nbytes, key, value);
+  if (const char* pn = PersistSpanName(EffectiveDurability())) {
+    tr->Instant(TraceLane::kPmClient, pn, now, op_id, key, value);
+  }
+}
+
+Task<Status> PmRegion::Complete(InFlight w, const char* span_name,
+                                std::uint64_t op_id) {
+  Status st = co_await Settle(std::move(w.legs));
+  TraceWrite(span_name, w, op_id, "ok", st.ok() ? 1 : 0);
   co_return st;
 }
 
-PmWriteToken PmRegion::LaunchMirrored(sim::Future<Status> fp,
-                                      std::optional<sim::Future<Status>> fm,
-                                      std::uint64_t nbytes,
-                                      const char* span_name,
-                                      std::int64_t issued_ns,
-                                      std::uint64_t op_id) {
-  return PmWriteToken(
-      *host_, sim::SpawnTask(*host_, CompleteMirrored(std::move(fp),
-                                                      std::move(fm), nbytes,
-                                                      span_name, issued_ns,
-                                                      op_id)));
+PmWriteToken PmRegion::Launch(InFlight w, const char* span_name,
+                              std::uint64_t op_id) {
+  return PmWriteToken(*host_, sim::SpawnTask(*host_, Complete(std::move(w),
+                                                              span_name,
+                                                              op_id)));
 }
+
+namespace {
+
+std::vector<PmRegion::ScatterOp> SingleOp(std::uint64_t offset,
+                                          std::vector<std::byte> data) {
+  std::vector<PmRegion::ScatterOp> ops;
+  ops.push_back(PmRegion::ScatterOp{offset, std::move(data)});
+  return ops;
+}
+
+}  // namespace
 
 Task<Status> PmRegion::Write(std::uint64_t offset,
                              std::vector<std::byte> data,
                              std::uint64_t op_id) {
-  if (!valid()) co_return Status(ErrorCode::kFailedPrecondition, "unbound");
-  if (offset + data.size() > handle_.length) {
-    co_return Status(ErrorCode::kOutOfRange, "write beyond region");
-  }
-  net::Endpoint& ep = host_->cpu().endpoint();
-  const std::uint64_t nva = handle_.nva + offset;
-  const std::uint64_t nbytes = data.size();
-  const std::int64_t issued_ns = host_->sim().Now().ns;
-
-  // Issue to both mirrors in parallel; durability requires the write to
-  // land on every up-to-date mirror.
-  auto f_primary = ep.StartWrite(net::EndpointId{handle_.primary_endpoint},
-                                 nva, data, op_id, durability_);
-  std::optional<sim::Future<Status>> f_mirror;
-  if (handle_.mirror_up) {
-    f_mirror = ep.StartWrite(net::EndpointId{handle_.mirror_endpoint}, nva,
-                             std::move(data), op_id, durability_);
-  }
-  Status sp = co_await f_primary.Wait(*host_);
-  std::optional<Status> sm;
-  if (f_mirror) sm = co_await f_mirror->Wait(*host_);
-  Status st = co_await ResolveMirrored(std::move(sp), std::move(sm), nbytes);
-  if (Tracer* tr = host_->sim().tracer(); tr != nullptr && tr->enabled()) {
-    tr->Complete(TraceLane::kPmClient, "pm.write", issued_ns,
-                 host_->sim().Now().ns, op_id, "bytes", nbytes, "ok",
-                 st.ok() ? 1 : 0);
-    if (const char* pn = PersistSpanName(EffectiveDurability())) {
-      tr->Instant(TraceLane::kPmClient, pn, host_->sim().Now().ns, op_id,
-                  "ok", st.ok() ? 1 : 0);
-    }
-  }
-  co_return st;
+  auto w = Issue(SingleOp(offset, std::move(data)), /*chained=*/true, op_id);
+  if (!w.ok()) co_return w.status();
+  co_return co_await Complete(std::move(*w), "pm.write", op_id);
 }
 
 PmWriteToken PmRegion::WriteAsync(std::uint64_t offset,
                                   std::vector<std::byte> data,
                                   std::uint64_t op_id) {
-  if (!valid()) {
-    return PmWriteToken(Status(ErrorCode::kFailedPrecondition, "unbound"));
-  }
-  if (offset + data.size() > handle_.length) {
-    return PmWriteToken(Status(ErrorCode::kOutOfRange, "write beyond region"));
-  }
-  net::Endpoint& ep = host_->cpu().endpoint();
-  const std::uint64_t nva = handle_.nva + offset;
-  const std::uint64_t nbytes = data.size();
-  const std::int64_t issued_ns = host_->sim().Now().ns;
-  // Both mirror legs are on the wire before this returns; completion
-  // (including failover) runs in a detached fiber behind the token.
-  auto fp = ep.StartWrite(net::EndpointId{handle_.primary_endpoint}, nva,
-                          data, op_id, durability_);
-  std::optional<sim::Future<Status>> fm;
-  if (handle_.mirror_up) {
-    fm = ep.StartWrite(net::EndpointId{handle_.mirror_endpoint}, nva,
-                       std::move(data), op_id, durability_);
-  }
-  return LaunchMirrored(std::move(fp), std::move(fm), nbytes,
-                        "pm.write_async", issued_ns, op_id);
-}
-
-PmWriteToken PmRegion::WriteChainAsync(std::vector<ScatterOp> ops,
-                                       std::uint64_t op_id) {
-  if (!valid()) {
-    return PmWriteToken(Status(ErrorCode::kFailedPrecondition, "unbound"));
-  }
-  std::vector<net::ChainSegment> segments;
-  segments.reserve(ops.size());
-  std::uint64_t nbytes = 0;
-  for (ScatterOp& op : ops) {
-    if (op.offset + op.bytes.size() > handle_.length) {
-      return PmWriteToken(
-          Status(ErrorCode::kOutOfRange, "chain write beyond region"));
-    }
-    nbytes += op.bytes.size();
-    segments.push_back(
-        net::ChainSegment{handle_.nva + op.offset, std::move(op.bytes)});
-  }
-  net::Endpoint& ep = host_->cpu().endpoint();
-  const std::int64_t issued_ns = host_->sim().Now().ns;
-  auto fp = ep.StartWriteChain(net::EndpointId{handle_.primary_endpoint},
-                               segments, op_id, durability_);
-  std::optional<sim::Future<Status>> fm;
-  if (handle_.mirror_up) {
-    fm = ep.StartWriteChain(net::EndpointId{handle_.mirror_endpoint},
-                            std::move(segments), op_id, durability_);
-  }
-  return LaunchMirrored(std::move(fp), std::move(fm), nbytes,
-                        "pm.write_chain", issued_ns, op_id);
+  auto w = Issue(SingleOp(offset, std::move(data)), /*chained=*/true, op_id);
+  if (!w.ok()) return PmWriteToken(w.status());
+  return Launch(std::move(*w), "pm.write_async", op_id);
 }
 
 Task<Status> PmRegion::WriteChain(std::vector<ScatterOp> ops,
                                   std::uint64_t op_id) {
-  co_return co_await WriteChainAsync(std::move(ops), op_id).Wait();
-}
-
-Task<Status> PmRegion::WriteV(std::uint64_t offset,
-                              std::vector<std::vector<std::byte>> segments) {
-  std::size_t total = 0;
-  for (const auto& seg : segments) total += seg.size();
-  std::vector<std::byte> flat;
-  flat.reserve(total);
-  for (const auto& seg : segments) {
-    flat.insert(flat.end(), seg.begin(), seg.end());
-  }
-  co_return co_await Write(offset, std::move(flat));
+  auto w = Issue(std::move(ops), /*chained=*/true, op_id);
+  if (!w.ok()) co_return w.status();
+  co_return co_await Launch(std::move(*w), "pm.write_chain", op_id).Wait();
 }
 
 Task<Status> PmRegion::WriteScatter(std::vector<ScatterOp> ops,
                                     std::uint64_t op_id) {
-  if (!valid()) co_return Status(ErrorCode::kFailedPrecondition, "unbound");
-  const std::int64_t issued_ns = host_->sim().Now().ns;
-  const std::uint64_t n_ops = ops.size();
-  net::Endpoint& ep = host_->cpu().endpoint();
-  struct Legs {
-    sim::Future<Status> primary;
-    std::optional<sim::Future<Status>> mirror;
-  };
-  std::vector<Legs> legs;
-  legs.reserve(ops.size());
-  std::uint64_t total = 0;
-  const std::uint32_t primary_ep = handle_.primary_endpoint;
-  const std::uint32_t mirror_ep = handle_.mirror_endpoint;
-  for (ScatterOp& op : ops) {
-    if (op.offset + op.bytes.size() > handle_.length) {
-      co_return Status(ErrorCode::kOutOfRange, "scatter write beyond region");
-    }
-    total += op.bytes.size();
-    const std::uint64_t nva = handle_.nva + op.offset;
-    Legs l{ep.StartWrite(net::EndpointId{primary_ep}, nva, op.bytes, op_id,
-                         durability_),
-           std::nullopt};
-    if (handle_.mirror_up) {
-      l.mirror = ep.StartWrite(net::EndpointId{mirror_ep}, nva,
-                               std::move(op.bytes), op_id, durability_);
-    }
-    legs.push_back(std::move(l));
-  }
-  // Await every op, then resolve each like a mirrored write: an op whose
-  // only failure is one dead mirror is durable on the survivor. Each dead
-  // endpoint is reported to the PMM exactly once, AFTER the awaits, so a
-  // mid-scatter handle refresh cannot mix roles across ops.
-  Status first_error;
-  bool primary_down = false;
-  bool mirror_down = false;
-  bool survivor_held = false;  // some op is durable on one mirror only
-  for (Legs& l : legs) {
-    Status sp = co_await l.primary.Wait(*host_);
-    Status sm = OkStatus();
-    if (l.mirror) sm = co_await l.mirror->Wait(*host_);
-    const bool pd = sp.code() == ErrorCode::kUnavailable;
-    const bool md = sm.code() == ErrorCode::kUnavailable;
-    primary_down = primary_down || pd;
-    mirror_down = mirror_down || md;
-    if (sp.ok() && sm.ok()) continue;
-    if (pd && !md && sm.ok() && l.mirror) {  // survivor holds it
-      survivor_held = true;
-      continue;
-    }
-    if (md && !pd && sp.ok()) {  // survivor holds it
-      survivor_held = true;
-      continue;
-    }
-    if (first_error.ok()) first_error = sp.ok() ? sm : sp;
-  }
-  bool recorded = true;
-  if (primary_down) {
-    recorded = co_await ReportDeviceDown(primary_ep) && recorded;
-  }
-  if (mirror_down) {
-    recorded = co_await ReportDeviceDown(mirror_ep) && recorded;
-  }
-  if (survivor_held && !recorded && first_error.ok()) {
-    // Same rule as ResolveMirrored: a survivor-only op counts as durable
-    // only once the PMM has the demotion on record.
-    first_error = Status(ErrorCode::kUnavailable,
-                         "device loss not recorded by PMM");
-  }
-  if (first_error.ok()) {
-    ++writes_;
-    bytes_written_ += total;
-  }
-  if (Tracer* tr = host_->sim().tracer(); tr != nullptr && tr->enabled()) {
-    tr->Complete(TraceLane::kPmClient, "pm.write_scatter", issued_ns,
-                 host_->sim().Now().ns, op_id, "bytes", total, "ops", n_ops);
-    if (const char* pn = PersistSpanName(EffectiveDurability())) {
-      tr->Instant(TraceLane::kPmClient, pn, host_->sim().Now().ns, op_id,
-                  "ops", n_ops);
-    }
-  }
-  co_return first_error;
+  auto w = Issue(std::move(ops), /*chained=*/false, op_id);
+  if (!w.ok()) co_return w.status();
+  const std::uint64_t n_ops = w->legs.size();
+  Status st = co_await Settle(std::move(w->legs));
+  TraceWrite("pm.write_scatter", *w, op_id, "ops", n_ops);
+  co_return st;
 }
 
 // ------------------------------------------------------------------ token
@@ -466,6 +351,21 @@ Task<Status> PmWritePipeline::Drain() {
   co_return std::exchange(error_, OkStatus());
 }
 
+Task<Result<std::vector<std::byte>>> PmRegion::PrimaryOrMirror(
+    std::function<Task<net::RdmaResult>(net::EndpointId)> op) {
+  auto r = co_await op(net::EndpointId{handle_.primary_endpoint});
+  if (r.status.ok()) co_return std::move(r.data);
+  if (r.status.code() != ErrorCode::kUnavailable || !handle_.mirror_up) {
+    co_return r.status;
+  }
+  auto r2 = co_await op(net::EndpointId{handle_.mirror_endpoint});
+  if (!r2.status.ok()) co_return r2.status;
+  // The data was mirror-committed, so it is valid even if the report
+  // does not get through.
+  (void)co_await ReportDeviceDown(handle_.primary_endpoint);
+  co_return std::move(r2.data);
+}
+
 Task<Result<std::vector<std::byte>>> PmRegion::Read(std::uint64_t offset,
                                                     std::uint64_t len,
                                                     std::uint64_t op_id) {
@@ -475,22 +375,9 @@ Task<Result<std::vector<std::byte>>> PmRegion::Read(std::uint64_t offset,
   }
   net::Endpoint& ep = host_->cpu().endpoint();
   const std::uint64_t nva = handle_.nva + offset;
-  auto r = co_await ep.Read(*host_, net::EndpointId{handle_.primary_endpoint},
-                            nva, len, op_id);
-  if (r.status.ok()) co_return std::move(r.data);
-  if (r.status.code() == ErrorCode::kUnavailable && handle_.mirror_up) {
-    // Fail over to the mirror and tell the PMM.
-    auto r2 = co_await ep.Read(
-        *host_, net::EndpointId{handle_.mirror_endpoint}, nva, len, op_id);
-    if (r2.status.ok()) {
-      // Read-only failover: the data was mirror-committed, so it is
-      // valid even if the report does not get through.
-      (void)co_await ReportDeviceDown(handle_.primary_endpoint);
-      co_return std::move(r2.data);
-    }
-    co_return r2.status;
-  }
-  co_return r.status;
+  co_return co_await PrimaryOrMirror([&](net::EndpointId target) {
+    return ep.Read(*host_, target, nva, len, op_id);
+  });
 }
 
 Task<Result<std::vector<std::byte>>> PmRegion::DeviceCommand(
@@ -499,26 +386,12 @@ Task<Result<std::vector<std::byte>>> PmRegion::DeviceCommand(
   if (!valid()) co_return Status(ErrorCode::kFailedPrecondition, "unbound");
   net::Endpoint& ep = host_->cpu().endpoint();
   if (!mirrored) {
-    // Query: primary with read-style failover. The region sits at the
-    // same NVA on both mirrors, so the request needs no rewriting.
-    auto r = co_await ep.Command(
-        *host_, net::EndpointId{handle_.primary_endpoint}, opcode, request,
-        op_id);
-    if (r.status.ok()) co_return std::move(r.data);
-    if (r.status.code() == ErrorCode::kUnavailable && handle_.mirror_up) {
-      auto r2 = co_await ep.Command(
-          *host_, net::EndpointId{handle_.mirror_endpoint}, opcode,
-          std::move(request), op_id);
-      if (r2.status.ok()) {
-        (void)co_await ReportDeviceDown(handle_.primary_endpoint);
-        co_return std::move(r2.data);
-      }
-      co_return r2.status;
-    }
-    co_return r.status;
+    // The region sits at the same NVA on both mirrors, so the request
+    // needs no rewriting.
+    co_return co_await PrimaryOrMirror([&](net::EndpointId target) {
+      return ep.Command(*host_, target, opcode, request, op_id);
+    });
   }
-  // Mutation: both mirrors must execute it (or the loss of one must be
-  // durably recorded first), exactly like a mirrored write.
   auto fp = ep.StartCommand(net::EndpointId{handle_.primary_endpoint}, opcode,
                             request, op_id);
   std::optional<sim::Future<net::RdmaResult>> fm;
@@ -527,13 +400,12 @@ Task<Result<std::vector<std::byte>>> PmRegion::DeviceCommand(
                          std::move(request), op_id);
   }
   net::RdmaResult rp = co_await fp.Wait(*host_);
-  std::optional<Status> sm;
-  if (fm) sm = (co_await fm->Wait(*host_)).status;
-  std::vector<std::byte> response = std::move(rp.data);
-  Status st = co_await ResolveMirrored(std::move(rp.status), std::move(sm),
-                                       /*nbytes=*/0);
+  std::vector<LegStatus> legs(1);
+  legs[0].primary = std::move(rp.status);
+  if (fm) legs[0].mirror = (co_await fm->Wait(*host_)).status;
+  Status st = co_await Resolve(std::move(legs));
   if (!st.ok()) co_return st;
-  co_return response;
+  co_return std::move(rp.data);
 }
 
 }  // namespace ods::pm

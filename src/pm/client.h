@@ -8,18 +8,36 @@
 // persistent or the call will return in error."
 //
 // The control path (create/open/delete) is messages to the PMM service;
-// the data path never touches the PMM. On device failure the client
-// reports to the PMM (kPmMirrorDown), refreshes its handle, and continues
-// on the surviving mirror — data remains durable throughout.
+// the data path never touches the PMM except to report a dead device.
+//
+// Write contract, shared by every PmRegion write entry point and by
+// mirrored device commands: all ops of a call are validated before any is
+// posted; each op then goes to the primary and, while the mirror is up to
+// date, to the mirror. Once every leg has resolved, each op is
+//   durable        both legs ok (or the primary ok with no mirror leg);
+//   survivor-held  exactly one leg kUnavailable and the other ok;
+//   failed         any other outcome.
+// Each dead endpoint of a survivor-held op is reported to the PMM once
+// (kPmMirrorDown), which durably demotes it and refreshes the handle. A
+// survivor-held op counts as written only if that report was recorded:
+// acking on an unrecorded demotion would let a later recovery resurrect
+// the stale device as a live mirror that silently misses the write. The
+// call returns OK iff every op counts as written, else the first failing
+// op's error.
+//
+// Reads and device queries go to the primary; when it is unavailable they
+// fail over to the up-to-date mirror and report the primary down.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/stats.h"
+#include "net/fabric.h"
 #include "nsk/process.h"
 #include "pm/manager.h"
 #include "pm/shard_map.h"
@@ -29,13 +47,11 @@ namespace ods::pm {
 class PmClient;
 class PmRegion;
 
-// Completion token for an asynchronous mirrored write (WriteAsync,
-// WriteChainAsync). Resolves OK only once the data is persistent on every
-// up-to-date mirror — the same durability contract as the synchronous
-// Write; mirror failover (report to the PMM, continue on the survivor)
-// happens inside the token's completion path. Validation errors are born
-// ready. Awaiting a token does not consume it; Wait() after ready()
-// returns the cached status.
+// Completion token for an asynchronous mirrored write (WriteAsync).
+// Resolves under the write contract above; failover happens inside the
+// token's completion path. Validation errors are born ready. Awaiting a
+// token does not consume it; Wait() after ready() returns the cached
+// status.
 class PmWriteToken {
  public:
   PmWriteToken() = default;
@@ -68,8 +84,7 @@ class PmRegion {
   [[nodiscard]] std::uint64_t size() const noexcept { return handle_.length; }
   [[nodiscard]] bool valid() const noexcept { return host_ != nullptr; }
 
-  // Synchronous write: mirrored to both NPMUs; returns once the data is
-  // persistent (on every up-to-date mirror) or an error.
+  // Synchronous write under the write contract (file comment).
   //
   // Every write/read takes a trailing `op_id` — an opaque correlation id
   // (0 = untagged) carried into the fabric's trace stream so one commit
@@ -77,23 +92,16 @@ class PmRegion {
   sim::Task<Status> Write(std::uint64_t offset, std::vector<std::byte> data,
                           std::uint64_t op_id = 0);
 
-  // Non-blocking write: both mirror RDMAs are issued before this returns;
-  // the token resolves once both up mirrors acked (or after failover to a
-  // survivor). The software latency of later writes overlaps the wire
-  // time of earlier ones — the primitive under PmWritePipeline and the
-  // log device's pipelined append path.
+  // Non-blocking write: both mirror legs are on the wire before this
+  // returns. The software latency of later writes overlaps the wire time
+  // of earlier ones — the primitive under PmWritePipeline.
   PmWriteToken WriteAsync(std::uint64_t offset, std::vector<std::byte> data,
                           std::uint64_t op_id = 0);
 
-  // Gather variant: the segments are written back-to-back at `offset` as
-  // one RDMA op per mirror (pointer-rich data without marshalling).
-  sim::Task<Status> WriteV(std::uint64_t offset,
-                           std::vector<std::vector<std::byte>> segments);
-
   // Scatter variant: independent (offset, bytes) writes issued
-  // concurrently (RDMA queue depth) and awaited together — the data path
-  // for incremental pointer-fixing flushes (§3.4). Returns the first
-  // failure, but all writes are attempted.
+  // concurrently (RDMA queue depth) and awaited together, each one op of
+  // the write contract — the data path for incremental pointer-fixing
+  // flushes (§3.4).
   struct ScatterOp {
     std::uint64_t offset;
     std::vector<std::byte> bytes;
@@ -106,8 +114,6 @@ class PmRegion {
   // in order and a failure in segment k suppresses every later segment —
   // the ordering guarantee the log device relies on to piggyback its
   // control block behind the data it covers (§3.4).
-  PmWriteToken WriteChainAsync(std::vector<ScatterOp> ops,
-                               std::uint64_t op_id = 0);
   sim::Task<Status> WriteChain(std::vector<ScatterOp> ops,
                                std::uint64_t op_id = 0);
 
@@ -118,11 +124,10 @@ class PmRegion {
 
   // Ships a device command (pm/offload.h) to the region's NPMU and
   // returns its response. `mirrored` = the command mutates device state
-  // (CompactTo): it is issued to both mirrors and succeeds only when
-  // every up-to-date mirror executed it — same durability contract as a
-  // write, including survivor failover. Queries (VerifyScan, ShipReplay)
-  // go to the primary with read-style failover. kFailedPrecondition
-  // means the device is passive — callers fall back to the host path.
+  // (CompactTo): it goes to both mirrors as one op of the write contract
+  // and returns the primary's response. Queries (VerifyScan, ShipReplay)
+  // are read-style. kFailedPrecondition means the device is passive —
+  // callers fall back to the host path.
   sim::Task<Result<std::vector<std::byte>>> DeviceCommand(
       std::uint32_t opcode, std::vector<std::byte> request,
       bool mirrored = false, std::uint64_t op_id = 0);
@@ -142,12 +147,6 @@ class PmRegion {
   // fabric default). Only meaningful on a bound region.
   [[nodiscard]] DurabilityMode EffectiveDurability() const noexcept;
 
-  // ---- accounting ----
-  [[nodiscard]] std::uint64_t writes() const noexcept { return writes_; }
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_written_;
-  }
-
   // Simulation of the bound host (nullptr when unbound) — lets the write
   // pipeline reach the tracer/metrics without knowing about nsk.
   [[nodiscard]] sim::Simulation* simulation() noexcept;
@@ -164,41 +163,58 @@ class PmRegion {
       : client_(&client), host_(&host), handle_(std::move(handle)),
         owner_service_(std::move(owner_service)) {}
 
-  // Tells the PMM a device looks dead and refreshes the handle. Returns
-  // true only once the PMM acknowledged, i.e. the role change is durable
-  // — a survivor-only write may be acknowledged to the application only
-  // on top of a durable demotion, or a later recovery could resurrect
-  // the stale device as a live mirror.
-  sim::Task<bool> ReportDeviceDown(std::uint32_t endpoint);
+  // One op's legs: on the primary and, if the mirror was up, the mirror.
+  struct MirrorLegs {
+    sim::Future<Status> primary;
+    std::optional<sim::Future<Status>> mirror;
+  };
+  struct LegStatus {
+    Status primary;
+    std::optional<Status> mirror;  // nullopt: no mirror leg was issued
+  };
+  // A posted call: its ops' legs plus what its trace span reports.
+  struct InFlight {
+    std::vector<MirrorLegs> legs;
+    std::uint64_t nbytes = 0;
+    std::int64_t issued_ns = 0;
+  };
 
-  // Shared completion logic for mirrored writes: both-acked success,
-  // single-mirror-dead failover (report + refresh + succeed on the
-  // survivor), hard error otherwise. `sm` is nullopt when no mirror leg
-  // was issued.
-  sim::Task<Status> ResolveMirrored(Status sp, std::optional<Status> sm,
-                                    std::uint64_t nbytes);
-  // Fiber body behind a PmWriteToken: awaits both legs, then resolves.
-  // `span_name` must be a string literal; the completion span runs from
-  // `issued_ns` (issue time) to resolution on the pm_client trace lane.
-  sim::Task<Status> CompleteMirrored(sim::Future<Status> fp,
-                                     std::optional<sim::Future<Status>> fm,
-                                     std::uint64_t nbytes,
-                                     const char* span_name,
-                                     std::int64_t issued_ns,
-                                     std::uint64_t op_id);
-  // Wraps the completion fiber for issued mirror legs into a token.
-  PmWriteToken LaunchMirrored(sim::Future<Status> fp,
-                              std::optional<sim::Future<Status>> fm,
-                              std::uint64_t nbytes, const char* span_name,
-                              std::int64_t issued_ns, std::uint64_t op_id);
+  // The one issue path. Validates every op, then posts them to each
+  // up-to-date mirror: as ONE chain when `chained`, else one chain per
+  // op. Nothing is posted when any op fails validation.
+  Result<InFlight> Issue(std::vector<ScatterOp> ops, bool chained,
+                         std::uint64_t op_id);
+  // The one write-failover rule (file comment) over the legs of N >= 1
+  // ops, in op order.
+  sim::Task<Status> Resolve(std::vector<LegStatus> ops);
+  // Awaits every leg in issue order, then resolves.
+  sim::Task<Status> Settle(std::vector<MirrorLegs> legs);
+  // Settles a single-op call and closes its `span_name` trace span (a
+  // string literal) on the pm_client lane. Write awaits it inline;
+  // WriteAsync and WriteChain run it in a spawned fiber behind a token.
+  sim::Task<Status> Complete(InFlight w, const char* span_name,
+                             std::uint64_t op_id);
+  PmWriteToken Launch(InFlight w, const char* span_name, std::uint64_t op_id);
+  // Emits a write's span (args "bytes" and `key`) and the persist marker
+  // of the effective durability mode (arg `key`).
+  void TraceWrite(const char* span_name, const InFlight& w,
+                  std::uint64_t op_id, const char* key, std::uint64_t value);
+
+  // Read-style failover: runs `op` on the primary; when that is
+  // unavailable and the mirror up to date, on the mirror — and a mirror
+  // success reports the primary down.
+  sim::Task<Result<std::vector<std::byte>>> PrimaryOrMirror(
+      std::function<sim::Task<net::RdmaResult>(net::EndpointId)> op);
+
+  // Tells the PMM a device looks dead and refreshes the handle. Returns
+  // true only once the PMM acknowledged, i.e. the role change is durable.
+  sim::Task<bool> ReportDeviceDown(std::uint32_t endpoint);
 
   PmClient* client_ = nullptr;
   nsk::NskProcess* host_ = nullptr;
   RegionHandle handle_;
   std::string owner_service_;
   std::optional<DurabilityMode> durability_;
-  std::uint64_t writes_ = 0;
-  std::uint64_t bytes_written_ = 0;
 };
 
 // Pipelines mirrored writes through a region at a fixed queue depth.

@@ -259,6 +259,17 @@ TEST(PmClientExtrasTest, WriteScatterRejectsOutOfBounds) {
     ops.push_back({4090, std::vector<std::byte>(64, std::byte{2})});  // over
     auto st = co_await region->WriteScatter(std::move(ops));
     EXPECT_EQ(st.code(), ErrorCode::kOutOfRange);
+    // Every op is validated before any is posted: the in-range op 0 must
+    // not land on either NPMU behind the rejected call.
+    co_await self.Sleep(Milliseconds(1));
+    net::Endpoint& ep = self.cpu().endpoint();
+    for (std::uint32_t dev : {region->handle().primary_endpoint,
+                              region->handle().mirror_endpoint}) {
+      auto back = co_await ep.Read(self, net::EndpointId{dev},
+                                   region->handle().nva, 64);
+      EXPECT_TRUE(back.status.ok()) << back.status.ToString();
+      EXPECT_EQ(back.data, std::vector<std::byte>(64)) << "device " << dev;
+    }
     done = true;
   });
   sim.RunFor(Seconds(30));

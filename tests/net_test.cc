@@ -3,6 +3,7 @@
 // detection, rail failover, link occupancy and messaging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <numeric>
 #include <vector>
@@ -279,6 +280,23 @@ TEST_F(FabricFixture, AllRailsDownFails) {
   });
   sim.Run();
   EXPECT_EQ(st.code(), ErrorCode::kUnavailable);
+}
+
+TEST_F(FabricFixture, SingleRailFailureSurvivedByRead) {
+  std::vector<std::byte> mem(1024);
+  Endpoint& dev = MakeDevice(mem);
+  Endpoint& host = fabric.CreateEndpoint("host");
+  const std::vector<std::byte> pattern = MakePattern(64);
+  std::copy(pattern.begin(), pattern.end(), mem.begin());
+  fabric.SetRailDown(0, true);
+
+  RdmaResult r;
+  sim.Spawn<LambdaProcess>("h", [&](LambdaProcess& self) -> Task<void> {
+    r = co_await host.Read(self, dev.id(), 0x1000, 64);
+  });
+  sim.Run();
+  EXPECT_TRUE(r.status.ok()) << "dual-rail fabric must survive one rail failure";
+  EXPECT_EQ(r.data, pattern);
 }
 
 TEST_F(FabricFixture, CorruptionDetectedByCrc) {

@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "nsk/cluster.h"
 #include "pm/client.h"
 #include "pm/manager.h"
 #include "pm/npmu.h"
+#include "pm/offload.h"
 #include "sim/simulation.h"
 
 namespace ods::pm {
@@ -63,10 +65,10 @@ std::size_t ResidentPages(const std::byte* p, std::uint64_t len) {
 
 // Full PM rig: 4-CPU cluster, two hardware NPMUs, PMM pair on CPUs 0/1.
 struct PmFixture : ::testing::Test {
-  PmFixture()
+  explicit PmFixture(NpmuConfig device = {})
       : sim(11), cluster(sim, MakeConfig()),
-        npmu_a(cluster.fabric(), "npmu-a"),
-        npmu_b(cluster.fabric(), "npmu-b") {
+        npmu_a(cluster.fabric(), "npmu-a", device),
+        npmu_b(cluster.fabric(), "npmu-b", device) {
     pmm_p = &sim.AdoptStopped<PmManager>(cluster, 0, "$PMM", "$PMM-P",
                                          PmDevice(npmu_a), PmDevice(npmu_b),
                                          "$PM1");
@@ -270,19 +272,25 @@ TEST_F(PmFixture, AccessControlBlocksOtherCpus) {
       << "the NPMU ATT must enforce access control in hardware";
 }
 
-TEST_F(PmFixture, WriteVGathersSegments) {
+TEST_F(PmFixture, WriteChainGathersAdjacentSegments) {
   sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
     PmClient client(self, "$PMM");
     auto region = co_await client.Create("r1", 4096);
     EXPECT_TRUE(region.ok());
-    std::vector<std::vector<std::byte>> segs = {Fill(10, 0x01), Fill(20, 0x02),
-                                                Fill(30, 0x03)};
-    EXPECT_TRUE((co_await region->WriteV(0, std::move(segs))).ok());
+    const std::uint64_t ops_before = cluster.fabric().rdma_write_ops();
+    std::vector<PmRegion::ScatterOp> segs;
+    segs.push_back({0, Fill(10, 0x01)});
+    segs.push_back({10, Fill(20, 0x02)});
+    segs.push_back({30, Fill(30, 0x03)});
+    EXPECT_TRUE((co_await region->WriteChain(std::move(segs))).ok());
+    EXPECT_EQ(cluster.fabric().rdma_write_ops() - ops_before, 2u)
+        << "the chain rides one RDMA op per mirror";
     auto back = co_await region->Read(0, 60);
     EXPECT_TRUE(back.ok());
     EXPECT_EQ((*back)[0], std::byte{0x01});
     EXPECT_EQ((*back)[10], std::byte{0x02});
     EXPECT_EQ((*back)[30], std::byte{0x03});
+    EXPECT_EQ((*back)[59], std::byte{0x03});
   });
   sim.Run();
 }
@@ -602,7 +610,7 @@ TEST_F(PmFixture, PipelineCoalescesAdjacentSubmits) {
     PmClient client(self, "$PMM");
     auto region = co_await client.Create("r1", 64 * 1024);
     EXPECT_TRUE(region.ok());
-    const std::uint64_t writes_before = region->writes();
+    const std::uint64_t ops_before = cluster.fabric().rdma_write_ops();
     PmWritePipeline pipe(*region);
     // Four back-to-back extents: one staged op, three merged into it.
     EXPECT_TRUE((co_await pipe.Submit(0, Fill(128, 0x01))).ok());
@@ -610,7 +618,7 @@ TEST_F(PmFixture, PipelineCoalescesAdjacentSubmits) {
     EXPECT_TRUE((co_await pipe.Submit(256, Fill(128, 0x03))).ok());
     EXPECT_TRUE((co_await pipe.Submit(384, Fill(128, 0x04))).ok());
     EXPECT_TRUE((co_await pipe.Drain()).ok());
-    EXPECT_EQ(region->writes() - writes_before, 1u)
+    EXPECT_EQ(cluster.fabric().rdma_write_ops() - ops_before, 2u)
         << "adjacent submits must ride one mirrored op";
     auto back = co_await region->Read(0, 512);
     EXPECT_TRUE(back.ok());
@@ -643,6 +651,104 @@ TEST_F(PmFixture, WriteScatterReportsDeadMirrorAndSucceedsOnSurvivor) {
   EXPECT_FALSE(pmm_p->mirror_up()) << "dead mirror must be reported";
   EXPECT_EQ(npmu_a.data_memory()[8192], std::byte{0x5C});
 }
+
+// ------------------------------------------------- mirrored-write failover
+
+// Every mirrored entry point resolves a dead device through the one
+// write-failover rule (pm/client.h): the same status, survivor bytes and
+// PMM role change, whichever call carried the write.
+enum class Entry { kWrite, kWriteAsync, kWriteChain, kWriteScatter, kCommand };
+enum class Failure { kMirrorDown, kPrimaryDown, kBothDown };
+
+struct MirroredWriteFailover
+    : PmFixture,
+      ::testing::WithParamInterface<std::tuple<Entry, Failure>> {
+  MirroredWriteFailover() : PmFixture(NpmuConfig{.active_commands = true}) {}
+};
+
+// Puts 0x5A on region bytes [0, 128) through `entry`. The device command
+// moves a copy staged at [1024, 1152) down to 0.
+Task<Status> WriteThrough(Entry entry, PmRegion& region) {
+  std::vector<PmRegion::ScatterOp> halves;
+  halves.push_back({0, Fill(64, 0x5A)});
+  halves.push_back({64, Fill(64, 0x5A)});
+  const std::uint64_t nva = region.handle().nva;
+  switch (entry) {
+    case Entry::kWrite:
+      co_return co_await region.Write(0, Fill(128, 0x5A));
+    case Entry::kWriteAsync:
+      co_return co_await region.WriteAsync(0, Fill(128, 0x5A)).Wait();
+    case Entry::kWriteChain:
+      co_return co_await region.WriteChain(std::move(halves));
+    case Entry::kWriteScatter:
+      co_return co_await region.WriteScatter(std::move(halves));
+    case Entry::kCommand:
+      co_return (co_await region.DeviceCommand(
+                     kCmdCompactTo,
+                     BuildCompactRequest(nva + 1024, nva, 128, nva + 2048,
+                                         Fill(8, 0x01)),
+                     /*mirrored=*/true))
+          .status();
+  }
+  co_return Status(ErrorCode::kInternal, "unknown entry point");
+}
+
+TEST_P(MirroredWriteFailover, ResolvesThroughOneRule) {
+  const auto [entry, failure] = GetParam();
+  Status st;
+  std::uint64_t commits = 0;
+  RegionHandle roles;
+  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
+    PmClient client(self, "$PMM");
+    auto region = co_await client.Create("r1", 4096);
+    EXPECT_TRUE(region.ok());
+    EXPECT_TRUE((co_await region->Write(1024, Fill(128, 0x5A))).ok());
+    if (failure != Failure::kPrimaryDown) npmu_b.Fail();
+    if (failure != Failure::kMirrorDown) npmu_a.Fail();
+    const std::uint64_t before = sim.metrics().CounterValue("pmm.metadata_commits");
+    st = co_await WriteThrough(entry, *region);
+    commits = sim.metrics().CounterValue("pmm.metadata_commits") - before;
+    auto reopened = co_await client.Open("r1");  // the PMM's roles
+    EXPECT_TRUE(reopened.ok());
+    if (reopened.ok()) roles = reopened->handle();
+  });
+  sim.RunUntil(SimTime{Seconds(5).ns});
+
+  if (failure == Failure::kBothDown) {
+    EXPECT_EQ(st.code(), ErrorCode::kUnavailable) << st.ToString();
+    EXPECT_EQ(commits, 0u) << "a failed write must not demote anything";
+    EXPECT_TRUE(pmm_p->mirror_up());
+    EXPECT_EQ(roles.primary_endpoint, npmu_a.id().value);
+    return;
+  }
+  Npmu& survivor = failure == Failure::kMirrorDown ? npmu_a : npmu_b;
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(commits, 1u) << "the dead device is reported exactly once";
+  EXPECT_FALSE(pmm_p->mirror_up());
+  EXPECT_EQ(roles.primary_endpoint, survivor.id().value);
+  EXPECT_TRUE(std::all_of(survivor.data_memory(), survivor.data_memory() + 128,
+                          [](std::byte b) { return b == std::byte{0x5A}; }));
+}
+
+std::string CellName(
+    const ::testing::TestParamInfo<std::tuple<Entry, Failure>>& info) {
+  static const char* const kEntries[] = {"Write", "WriteAsync", "WriteChain",
+                                         "WriteScatter", "DeviceCommand"};
+  static const char* const kFailures[] = {"MirrorDown", "PrimaryDown",
+                                          "BothDown"};
+  return std::string(kEntries[static_cast<int>(std::get<0>(info.param))]) +
+         kFailures[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EntryPointsByFailure, MirroredWriteFailover,
+    ::testing::Combine(::testing::Values(Entry::kWrite, Entry::kWriteAsync,
+                                         Entry::kWriteChain,
+                                         Entry::kWriteScatter, Entry::kCommand),
+                       ::testing::Values(Failure::kMirrorDown,
+                                         Failure::kPrimaryDown,
+                                         Failure::kBothDown)),
+    CellName);
 
 TEST_F(PmpFixture, PmpLosesContentsWhenItsProcessDies) {
   // The prototype gives "all of the performance characteristics of a
