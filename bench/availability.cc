@@ -3,7 +3,7 @@
 // insert load, kill the primary of each critical service in turn and
 // measure (a) the service-name outage window and (b) the workload pause
 // observed by the application; then verify zero committed-transaction
-// loss.
+// loss. Exits 1 if any row lost committed data (prints LOST).
 #include <cstdio>
 #include <functional>
 
@@ -126,12 +126,14 @@ int main() {
        [](workload::Rig& r) { r.KillPmmPrimary(); }},
   };
 
+  bool lost = false;
   std::printf("E9: process-pair takeover under load (PM configuration)\n\n");
   std::printf("%-28s %14s %14s %12s\n", "killed service", "takeover (ms)",
               "app pause(ms)", "data loss?");
   PrintRule(74);
   for (const Case& c : cases) {
     const Outcome o = KillUnderLoad(c.service, c.kill);
+    lost = lost || !o.all_committed_readable;
     std::printf("%-28s %14.0f %14.0f %12s\n", c.label, o.name_outage_ms,
                 o.app_pause_ms, o.all_committed_readable ? "none" : "LOST");
   }
@@ -147,9 +149,10 @@ int main() {
   PrintRule(74);
   for (const Case& c : cases) {
     const Outcome o = KillUnderLoad(c.service, c.kill, /*offload=*/true);
+    lost = lost || !o.all_committed_readable;
     std::printf("%-28s %14.0f %14.0f %12s\n", c.label, o.name_outage_ms,
                 o.app_pause_ms, o.all_committed_readable ? "none" : "LOST");
   }
   PrintRule(74);
-  return 0;
+  return lost ? 1 : 0;
 }

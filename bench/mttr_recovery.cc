@@ -9,16 +9,19 @@
 //   * end-to-end time until the system commits its first post-crash
 //     transaction,
 // for (a) disk audit trails + scan-based TMF recovery and (b) PM audit
-// trails + PM-resident transaction control blocks.
+// trails + PM-resident transaction control blocks. The PM column runs on
+// the PMP prototype, whose memory dies with it: after the power loss it
+// recovers an empty trail, so its DP2s redo nothing.
 //
 // The near-data section (BENCH_nearpm.json) compares passive against
 // active NPMUs on the same mirrored-NPMU rig and seed: passive recovery
 // pulls the whole audit image across the interconnect (one RDMA read by
-// the ADP, then one kAdpReadLog reply per DP2), while the active device
-// answers VerifyScan with a 32-byte summary and ShipReplay with only
-// each partition's committed updates. The bench reports the recovery-
-// window interconnect bytes (RDMA + device commands + IPC payloads) and
-// the MTTR for both, plus their ratios — gated by
+// the ADP for its tail, one more that the DP2s' concurrent kAdpReadLog
+// requests share, then one kAdpReadLog reply per DP2), while the active
+// device answers VerifyScan with a 32-byte summary and ShipReplay with
+// only each partition's committed updates. The bench reports the
+// recovery-window interconnect bytes (RDMA + device commands + IPC
+// payloads) and the MTTR for both, plus their ratios — gated by
 // tools/validate_bench_json.py against bench/nearpm_baseline.json.
 #include <cstdio>
 #include <functional>
@@ -55,8 +58,7 @@ struct RecoveryResult {
 RecoveryResult Measure(bool pm) {
   sim::Simulation sim(17);
   auto cfg = PaperRig(pm);
-  cfg.retain_log_image = true;  // cold recovery needs the audit image
-  cfg.pm_tcb = pm;              // PM-resident TCBs (§3.4)
+  cfg.pm_tcb = pm;  // PM-resident TCBs (§3.4)
   workload::Rig rig(sim, cfg);
   sim.RunFor(sim::Seconds(1));
 
@@ -120,9 +122,8 @@ NearPmResult MeasureNearPm(bool offload) {
   cfg.num_adps = 1;
   cfg.pm_log_region_bytes = 64ull << 20;  // hold the full load without wrap
   cfg.pm_tcb = true;
-  // Passive DP2 redo needs the host-side image (kAdpReadLog); the active
-  // device replaces it with ShipReplay, so the mirror can stay off.
-  cfg.retain_log_image = !offload;
+  // Passive DP2 redo reads the trail through the ADP (kAdpReadLog); the
+  // active device ships each partition's redo itself (ShipReplay).
   cfg.pm_offload = offload;
   workload::Rig rig(sim, cfg);
   sim.RunFor(sim::Seconds(1));
@@ -136,7 +137,8 @@ NearPmResult MeasureNearPm(bool offload) {
   const sim::SimTime restart_at = sim.Now();
   // Everything that crosses the interconnect: RDMA payloads, device
   // command request+response bytes, and IPC message payloads (the
-  // kAdpReadLog image replies live there, not in the RDMA counters).
+  // kAdpReadLog image replies live there; the ADP's device reads behind
+  // them are RDMA).
   auto interconnect = [&rig]() -> std::uint64_t {
     auto& f = rig.cluster().fabric();
     return f.bytes_transferred() + f.command_bytes() + f.message_bytes() +

@@ -79,8 +79,9 @@ class Cluster {
   // IPC payload accounting: every byte handed to the message transport
   // (requests, casts and replies). The near-data offload benches use
   // this to compare how much data crosses the interconnect during
-  // recovery — a whole-log kAdpReadLog reply lands here, not in the
-  // fabric's RDMA counters.
+  // recovery — a whole-log kAdpReadLog reply lands here; the ADP's read
+  // of that log off a PM device is counted by the fabric's RDMA
+  // counters.
   void NoteMessageBytes(std::size_t bytes) noexcept {
     message_bytes_ += bytes;
   }

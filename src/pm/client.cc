@@ -118,6 +118,10 @@ DurabilityMode PmRegion::EffectiveDurability() const noexcept {
 }
 
 Task<bool> PmRegion::ReportDeviceDown(std::uint32_t endpoint) {
+  if (handle_.primary_endpoint != endpoint &&
+      !(handle_.mirror_up && handle_.mirror_endpoint == endpoint)) {
+    co_return true;  // already demoted
+  }
   Serializer s;
   s.PutU32(endpoint);
   auto r = co_await host_->Call(owner_service_, kPmMirrorDown,
@@ -153,6 +157,7 @@ Result<PmRegion::InFlight> PmRegion::Issue(std::vector<ScatterOp> ops,
   }
   net::Endpoint& ep = host_->cpu().endpoint();
   w.issued_ns = host_->sim().Now().ns;
+  w.posted = {handle_.primary_endpoint, handle_.mirror_endpoint};
   w.legs.reserve(chains.size());
   for (std::vector<net::ChainSegment>& chain : chains) {
     MirrorLegs l{ep.StartWriteChain(net::EndpointId{handle_.primary_endpoint},
@@ -167,7 +172,8 @@ Result<PmRegion::InFlight> PmRegion::Issue(std::vector<ScatterOp> ops,
   return w;
 }
 
-Task<Status> PmRegion::Resolve(std::vector<LegStatus> ops) {
+Task<Status> PmRegion::Resolve(std::vector<LegStatus> ops,
+                               LegEndpoints posted) {
   enum class Dead : std::uint8_t { kNone, kPrimary, kMirror };
   std::vector<Dead> dead(ops.size(), Dead::kNone);
   bool primary_dead = false;
@@ -183,10 +189,11 @@ Task<Status> PmRegion::Resolve(std::vector<LegStatus> ops) {
       mirror_dead = true;
     }
   }
-  // Report after every leg resolved, endpoints read before the first
-  // report refreshes the handle, so roles cannot mix across ops.
-  const std::uint32_t primary_ep = handle_.primary_endpoint;
-  const std::uint32_t mirror_ep = handle_.mirror_endpoint;
+  // Report after every leg resolved, to the endpoints the legs were
+  // posted to: a concurrent call's report may have refreshed the handle
+  // since.
+  const std::uint32_t primary_ep = posted.primary;
+  const std::uint32_t mirror_ep = posted.mirror;
   bool primary_recorded = false;
   bool mirror_recorded = false;
   if (primary_dead) primary_recorded = co_await ReportDeviceDown(primary_ep);
@@ -202,15 +209,15 @@ Task<Status> PmRegion::Resolve(std::vector<LegStatus> ops) {
   co_return OkStatus();
 }
 
-Task<Status> PmRegion::Settle(std::vector<MirrorLegs> legs) {
+Task<Status> PmRegion::Settle(InFlight& w) {
   std::vector<LegStatus> ops;
-  ops.reserve(legs.size());
-  for (MirrorLegs& l : legs) {
+  ops.reserve(w.legs.size());
+  for (MirrorLegs& l : w.legs) {
     LegStatus& s = ops.emplace_back();
     s.primary = co_await l.primary.Wait(*host_);
     if (l.mirror) s.mirror = co_await l.mirror->Wait(*host_);
   }
-  co_return co_await Resolve(std::move(ops));
+  co_return co_await Resolve(std::move(ops), w.posted);
 }
 
 void PmRegion::TraceWrite(const char* span_name, const InFlight& w,
@@ -228,7 +235,7 @@ void PmRegion::TraceWrite(const char* span_name, const InFlight& w,
 
 Task<Status> PmRegion::Complete(InFlight w, const char* span_name,
                                 std::uint64_t op_id) {
-  Status st = co_await Settle(std::move(w.legs));
+  Status st = co_await Settle(w);
   TraceWrite(span_name, w, op_id, "ok", st.ok() ? 1 : 0);
   co_return st;
 }
@@ -279,7 +286,7 @@ Task<Status> PmRegion::WriteScatter(std::vector<ScatterOp> ops,
   auto w = Issue(std::move(ops), /*chained=*/false, op_id);
   if (!w.ok()) co_return w.status();
   const std::uint64_t n_ops = w->legs.size();
-  Status st = co_await Settle(std::move(w->legs));
+  Status st = co_await Settle(*w);
   TraceWrite("pm.write_scatter", *w, op_id, "ops", n_ops);
   co_return st;
 }
@@ -392,18 +399,19 @@ Task<Result<std::vector<std::byte>>> PmRegion::DeviceCommand(
       return ep.Command(*host_, target, opcode, request, op_id);
     });
   }
-  auto fp = ep.StartCommand(net::EndpointId{handle_.primary_endpoint}, opcode,
+  const LegEndpoints posted{handle_.primary_endpoint, handle_.mirror_endpoint};
+  auto fp = ep.StartCommand(net::EndpointId{posted.primary}, opcode,
                             request, op_id);
   std::optional<sim::Future<net::RdmaResult>> fm;
   if (handle_.mirror_up) {
-    fm = ep.StartCommand(net::EndpointId{handle_.mirror_endpoint}, opcode,
+    fm = ep.StartCommand(net::EndpointId{posted.mirror}, opcode,
                          std::move(request), op_id);
   }
   net::RdmaResult rp = co_await fp.Wait(*host_);
   std::vector<LegStatus> legs(1);
   legs[0].primary = std::move(rp.status);
   if (fm) legs[0].mirror = (co_await fm->Wait(*host_)).status;
-  Status st = co_await Resolve(std::move(legs));
+  Status st = co_await Resolve(std::move(legs), posted);
   if (!st.ok()) co_return st;
   co_return std::move(rp.data);
 }

@@ -172,9 +172,15 @@ class PmRegion {
     Status primary;
     std::optional<Status> mirror;  // nullopt: no mirror leg was issued
   };
+  // The endpoints a call's legs were posted to, captured at issue.
+  struct LegEndpoints {
+    std::uint32_t primary = 0;
+    std::uint32_t mirror = 0;
+  };
   // A posted call: its ops' legs plus what its trace span reports.
   struct InFlight {
     std::vector<MirrorLegs> legs;
+    LegEndpoints posted;
     std::uint64_t nbytes = 0;
     std::int64_t issued_ns = 0;
   };
@@ -185,10 +191,10 @@ class PmRegion {
   Result<InFlight> Issue(std::vector<ScatterOp> ops, bool chained,
                          std::uint64_t op_id);
   // The one write-failover rule (file comment) over the legs of N >= 1
-  // ops, in op order.
-  sim::Task<Status> Resolve(std::vector<LegStatus> ops);
-  // Awaits every leg in issue order, then resolves.
-  sim::Task<Status> Settle(std::vector<MirrorLegs> legs);
+  // ops, in op order, posted to the endpoints `posted`.
+  sim::Task<Status> Resolve(std::vector<LegStatus> ops, LegEndpoints posted);
+  // Awaits every leg of `w` in issue order, then resolves.
+  sim::Task<Status> Settle(InFlight& w);
   // Settles a single-op call and closes its `span_name` trace span (a
   // string literal) on the pm_client lane. Write awaits it inline;
   // WriteAsync and WriteChain run it in a spawned fiber behind a token.
@@ -208,6 +214,10 @@ class PmRegion {
 
   // Tells the PMM a device looks dead and refreshes the handle. Returns
   // true only once the PMM acknowledged, i.e. the role change is durable.
+  // A device the handle already shows demoted (neither primary nor up
+  // mirror) is not reported again: the handle changes only on an acked
+  // report, so that demotion is durable, and a second report would name
+  // the promoted survivor.
   sim::Task<bool> ReportDeviceDown(std::uint32_t endpoint);
 
   PmClient* client_ = nullptr;

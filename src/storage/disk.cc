@@ -25,6 +25,7 @@ void DiskVolume::StoreBytes(std::uint64_t offset,
     std::memcpy(chunk.data() + within, data.data() + pos, n);
     pos += n;
   }
+  written_end_ = std::max(written_end_, offset + data.size());
 }
 
 void DiskVolume::LoadBytes(std::uint64_t offset,
@@ -111,7 +112,9 @@ sim::Future<Result<std::vector<std::byte>>> DiskVolume::StartRead(
   const std::uint64_t gen = generation_;
   sim_.Schedule(complete, [this, gen, offset, len, done]() mutable {
     if (gen != generation_) return;
-    done.Set(Result<std::vector<std::byte>>(ReadImage(offset, len)));
+    const std::uint64_t n =
+        std::min(len, std::max(written_end_, offset) - offset);
+    done.Set(Result<std::vector<std::byte>>(ReadImage(offset, n)));
   });
   return fut;
 }

@@ -54,6 +54,10 @@ class DiskVolume {
   // platter. Requests queue FIFO behind the single arm.
   sim::Future<Status> StartWrite(std::uint64_t offset,
                                  std::vector<std::byte> data);
+  // Begins a read timed for all `len` bytes. The result stops at the end
+  // of the highest byte ever written: the never-written sectors past it
+  // read as zeros and are left off, so a scan of a mostly empty volume
+  // costs no host memory for them.
   sim::Future<Result<std::vector<std::byte>>> StartRead(std::uint64_t offset,
                                                         std::uint64_t len);
 
@@ -103,6 +107,7 @@ class DiskVolume {
   std::string name_;
   DiskConfig config_;
   std::unordered_map<std::uint64_t, std::vector<std::byte>> chunks_;
+  std::uint64_t written_end_ = 0;  // end of the highest byte ever stored
   sim::SimTime busy_until_{0};
   std::uint64_t head_position_ = 0;  // byte offset after the last op
   std::uint64_t generation_ = 0;

@@ -30,10 +30,10 @@ constexpr std::uint8_t kCkptFlush = 3;
 
 AdpProcess::AdpProcess(nsk::Cluster& cluster, int cpu_index,
                        std::string service_name, std::string member_name,
-                       std::unique_ptr<LogDevice> device, AdpConfig config)
+                       std::unique_ptr<LogDevice> device)
     : PairMember(cluster, cpu_index, std::move(service_name),
                  std::move(member_name)),
-      device_(std::move(device)), config_(config),
+      device_(std::move(device)),
       flushes_(&sim().metrics().GetCounter("adp.flushes")),
       flushed_bytes_(&sim().metrics().GetCounter("adp.flushed_bytes")),
       coalesced_checkpoints_(
@@ -44,23 +44,7 @@ AdpProcess::AdpProcess(nsk::Cluster& cluster, int cpu_index,
 Task<void> AdpProcess::OnBecomePrimary(bool via_takeover) {
   const sim::SimTime t0 = sim().Now();
   (void)co_await device_->Open(*this);
-  if (!state_valid_ && config_.retain_log_image) {
-    // No surviving in-memory state, and DP2 recovery reads the host-side
-    // image: recover it whole and re-derive the next LSN from it.
-    auto log = co_await device_->RecoverLog(*this);
-    if (log.ok()) {
-      durable_tail_ = device_->tail();
-      LogScanner scanner(*log);
-      while (auto rec = scanner.Next()) {
-        next_lsn_ = std::max(next_lsn_, rec->lsn + 1);
-      }
-      log_image_ = std::move(*log);
-      state_valid_ = true;
-    } else {
-      ODS_WLOG("adp", "%s: log recovery failed: %s", name().c_str(),
-               log.status().ToString().c_str());
-    }
-  } else if (!state_valid_) {
+  if (!state_valid_) {
     // No surviving in-memory state (fresh start or post-power-loss
     // restart): re-derive the durable tail and next LSN from the medium.
     // This is where disk (full scan), PM (direct read) and an active
@@ -122,9 +106,6 @@ Task<Status> AdpProcess::BufferRecords(std::span<const std::byte> payload,
   buffer_.insert(buffer_.end(), framed.begin(), framed.end());
   buffer_marks_.push_back(buffer_.size());
   buffered_tail_ += framed.size();
-  if (config_.retain_log_image) {
-    log_image_.insert(log_image_.end(), framed.begin(), framed.end());
-  }
   // Externalization rule: the buffered delta reaches the backup before
   // the sender is acknowledged. Deltas that arrive while a checkpoint is
   // in flight are coalesced into the next one (one backup round trip for
@@ -315,12 +296,20 @@ Task<void> AdpProcess::HandleRequest(Request req) {
       break;
     }
     case kAdpReadLog: {
-      if (!config_.retain_log_image) {
-        req.Respond(Status(ErrorCode::kFailedPrecondition,
-                           "log image retention disabled"));
+      // Redo reads the durable trail off the device, never the buffered
+      // tail. Concurrent readers share one device read as long as
+      // nothing became durable since it started.
+      if (log_read_ != nullptr && log_read_->tail == device_->tail()) {
+        log_read_->readers.push_back(std::move(req));
         break;
       }
-      req.Respond(OkStatus(), log_image_);
+      auto read = log_read_ = std::make_shared<LogRead>(device_->tail());
+      read->readers.push_back(std::move(req));
+      auto log = co_await device_->ReadLog(*this);
+      if (log_read_ == read) log_read_.reset();
+      for (Request& r : read->readers) {
+        r.Respond(log.status(), log.ok() ? *log : std::vector<std::byte>{});
+      }
       break;
     }
     case kAdpReplaySource: {
@@ -356,9 +345,6 @@ void AdpProcess::ApplyCheckpoint(std::span<const std::byte> delta) {
     next_lsn_ = lsn;
     buffer_.insert(buffer_.end(), framed.begin(), framed.end());
     buffer_marks_.push_back(buffer_.size());
-    if (config_.retain_log_image) {
-      log_image_.insert(log_image_.end(), framed.begin(), framed.end());
-    }
     state_valid_ = true;
   } else if (kind == kCkptDurable) {
     std::uint64_t tail = 0;
@@ -405,18 +391,14 @@ std::vector<std::byte> AdpProcess::SnapshotState() {
   s.PutU64(durable_tail_);
   s.PutU64(next_lsn_);
   s.PutBlob(buffer_);
-  s.PutBlob(log_image_);
   return std::move(s).Take();
 }
 
 void AdpProcess::InstallState(std::span<const std::byte> snapshot) {
   Deserializer d(snapshot);
   std::uint64_t tail = 0, lsn = 0;
-  std::vector<std::byte> buffer, image;
-  if (!d.GetU64(tail) || !d.GetU64(lsn) || !d.GetBlob(buffer) ||
-      !d.GetBlob(image)) {
-    return;
-  }
+  std::vector<std::byte> buffer;
+  if (!d.GetU64(tail) || !d.GetU64(lsn) || !d.GetBlob(buffer)) return;
   durable_tail_ = tail;
   next_lsn_ = lsn;
   buffer_ = std::move(buffer);
@@ -424,7 +406,6 @@ void AdpProcess::InstallState(std::span<const std::byte> snapshot) {
   // buffer is one indivisible chunk for the next flush.
   buffer_marks_.clear();
   if (!buffer_.empty()) buffer_marks_.push_back(buffer_.size());
-  if (config_.retain_log_image) log_image_ = std::move(image);
   state_valid_ = true;
 }
 

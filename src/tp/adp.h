@@ -29,15 +29,6 @@
 
 namespace ods::tp {
 
-struct AdpConfig {
-  // Keep an in-memory mirror of the durable log so DP2 recovery can read
-  // it without re-scanning the device (costs host memory ∝ log size;
-  // enable in recovery tests, off for long benchmarks). Without it, cold
-  // recovery asks the device for a summary (LogDevice::RecoverSummary),
-  // which an active NPMU answers without shipping the log image.
-  bool retain_log_image = false;
-};
-
 // Counts go to the metrics registry: "adp.flushes", "adp.flushed_bytes"
 // and "adp.coalesced_checkpoints" summed over every ADP of the run, and
 // one flush-latency histogram per trail, "adp.<service>.flush_latency_ns",
@@ -45,8 +36,7 @@ struct AdpConfig {
 class AdpProcess : public nsk::PairMember {
  public:
   AdpProcess(nsk::Cluster& cluster, int cpu_index, std::string service_name,
-             std::string member_name, std::unique_ptr<LogDevice> device,
-             AdpConfig config = {});
+             std::string member_name, std::unique_ptr<LogDevice> device);
 
   // ---- accounting ----
   // This trail's flush latency: commit-flush request to durable ack.
@@ -70,7 +60,6 @@ class AdpProcess : public nsk::PairMember {
     PairMember::OnRestart();
     buffer_.clear();
     buffer_marks_.clear();
-    log_image_.clear();
     flush_waiters_.clear();
     flusher_running_ = false;
     durable_tail_ = 0;
@@ -83,6 +72,7 @@ class AdpProcess : public nsk::PairMember {
     ckpt_pending_.clear();
     ckpt_waiters_.clear();
     ckpt_pump_running_ = false;
+    log_read_.reset();
     device_->Reset();
   }
 
@@ -103,7 +93,6 @@ class AdpProcess : public nsk::PairMember {
   void AdvanceDurable(std::uint64_t tail);
 
   std::unique_ptr<LogDevice> device_;
-  AdpConfig config_;
 
   // Volatile primary state, checkpointed to the backup.
   std::vector<std::byte> buffer_;     // framed records not yet durable
@@ -143,7 +132,13 @@ class AdpProcess : public nsk::PairMember {
   std::deque<sim::Promise<Status>> ckpt_waiters_;
   bool ckpt_pump_running_ = false;
 
-  std::vector<std::byte> log_image_;  // mirror (config_.retain_log_image)
+  // The kAdpReadLog device read in flight: the device tail it covers
+  // and the requests riding it.
+  struct LogRead {
+    std::uint64_t tail;
+    std::vector<nsk::Request> readers;
+  };
+  std::shared_ptr<LogRead> log_read_;
 
   // Registry handles, resolved at construction.
   Counter* flushes_;

@@ -262,9 +262,9 @@ Task<void> Dp2Process::FlushLoop() {
 }
 
 Task<bool> Dp2Process::OffloadReplay() {
-  // Ask this partition's log writer where the durable trail lives. A
-  // passive device, a disk ADP, or a down ADP all answer with an error —
-  // the caller then runs the kAdpReadLog path instead.
+  // Ask this partition's log writer where the durable trail lives. Only
+  // an active PM device answers; any other device, or a down ADP, answers
+  // with an error — the caller then runs the kAdpReadLog path instead.
   auto src = co_await Call(config_.adp_service, kAdpReplaySource, {});
   if (!src.ok() || !src->status.ok()) co_return false;
   Deserializer d(src->payload);
@@ -312,48 +312,42 @@ Task<void> Dp2Process::OnBecomePrimary(bool via_takeover) {
         }
       }
     }
-    if (config_.offload_replay && config_.partitions_per_file > 0 &&
-        co_await OffloadReplay()) {
-      state_valid_ = true;
-      (void)via_takeover;
-      last_recovery_time_ = sim().Now() - t0;
-      co_return;
-    }
-    auto log = co_await Call(config_.adp_service, kAdpReadLog, {});
-    if (log.ok() && log->status.ok()) {
-      // Pass 1: which transactions committed?
-      std::set<std::uint64_t> committed;
-      {
-        LogScanner scan(log->payload);
-        while (auto rec = scan.Next()) {
-          if (rec->type == AuditType::kCommit) committed.insert(rec->txn);
-        }
-      }
-      // Pass 2: redo committed updates in LSN order. (The shared audit
-      // trail may contain records for sibling partitions; re-applying
-      // them here is idempotent and harmless — clients route by the
-      // partition map, so foreign keys are never served from this DP2.)
-      LogScanner scan(log->payload);
-      std::uint64_t applied = 0;
-      while (auto rec = scan.Next()) {
-        if (rec->type != AuditType::kUpdate || !committed.count(rec->txn)) {
-          continue;
-        }
-        table_[LockKey{rec->file_id, rec->key}] = std::move(rec->after_image);
-        ++applied;
-      }
-      // Charge CPU for the redo pass.
-      co_await Compute(config_.apply_cpu * static_cast<std::int64_t>(applied));
-      state_valid_ = true;
-    } else {
-      ODS_WLOG("dp2", "%s: audit redo unavailable: %s", name().c_str(),
-               log.ok() ? log->status.ToString().c_str()
-                        : log.status().ToString().c_str());
-      state_valid_ = true;  // serve from the volume baseline
-    }
+    if (!co_await OffloadReplay()) co_await RedoFromTrail();
+    state_valid_ = true;
   }
   (void)via_takeover;
   last_recovery_time_ = sim().Now() - t0;
+}
+
+Task<void> Dp2Process::RedoFromTrail() {
+  auto log = co_await Call(config_.adp_service, kAdpReadLog, {});
+  if (!log.ok() || !log->status.ok()) {
+    ODS_WLOG("dp2", "%s: audit redo unavailable: %s", name().c_str(),
+             log.ok() ? log->status.ToString().c_str()
+                      : log.status().ToString().c_str());
+    co_return;  // serve from the volume baseline
+  }
+  // Pass 1: which transactions committed?
+  std::set<std::uint64_t> committed;
+  LogScanner outcomes(log->payload);
+  while (auto rec = outcomes.Next()) {
+    if (rec->type == AuditType::kCommit) committed.insert(rec->txn);
+  }
+  // Pass 2: redo committed updates in LSN order. (The shared audit
+  // trail may contain records for sibling partitions; re-applying
+  // them here is idempotent and harmless — clients route by the
+  // partition map, so foreign keys are never served from this DP2.)
+  LogScanner scan(log->payload);
+  std::uint64_t applied = 0;
+  while (auto rec = scan.Next()) {
+    if (rec->type != AuditType::kUpdate || !committed.count(rec->txn)) {
+      continue;
+    }
+    table_[LockKey{rec->file_id, rec->key}] = std::move(rec->after_image);
+    ++applied;
+  }
+  // Charge CPU for the redo pass.
+  co_await Compute(config_.apply_cpu * static_cast<std::int64_t>(applied));
 }
 
 Task<void> Dp2Process::HandleRequest(Request req) {

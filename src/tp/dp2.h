@@ -47,16 +47,16 @@ struct Dp2Config {
   sim::SimDuration lock_timeout = sim::Milliseconds(500);
   sim::SimDuration flush_interval = sim::Milliseconds(250);
   bool background_flush = true;
-  // Near-data replay: at cold recovery ask the ADP where the durable log
-  // lives (kAdpReplaySource) and have the NPMU ship only this partition's
-  // committed updates (ShipReplay) instead of pulling the whole audit
-  // image through kAdpReadLog. Requires the identity fields below so the
-  // device filter matches the catalog's routing (db::Catalog::Route /
-  // common/keyhash.h). Falls back to kAdpReadLog on any failure.
-  bool offload_replay = false;
+  // This partition's catalog identity. Cold-recovery redo first asks the
+  // ADP for a replay source (kAdpReplaySource): an active NPMU then ships
+  // only this partition's committed updates (ShipReplay), filtered by
+  // these fields through the catalog's routing (db::Catalog::Route /
+  // common/keyhash.h). Any other log device refuses, and any failure
+  // falls back to redo from the durable trail the ADP reads off its
+  // device (kAdpReadLog).
   std::uint32_t file_id = 0;             // this DP2's file
   std::uint32_t partition = 0;           // ... and partition within it
-  std::uint32_t partitions_per_file = 0; // catalog partition count (0 = off)
+  std::uint32_t partitions_per_file = 0; // catalog partition count
 };
 
 class Dp2Process : public nsk::PairMember {
@@ -109,6 +109,9 @@ class Dp2Process : public nsk::PairMember {
   sim::Task<void> FlushLoop();
   // Cold-recovery redo via device ShipReplay; true = redo complete.
   sim::Task<bool> OffloadReplay();
+  // Cold-recovery redo from the durable trail the ADP reads off its
+  // device (kAdpReadLog).
+  sim::Task<void> RedoFromTrail();
 
   // Applies a mutation locally (both roles use this).
   void ApplyWrite(std::uint64_t txn, LockKey key,

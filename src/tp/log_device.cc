@@ -56,6 +56,14 @@ Result<bool> UnsealControl(std::span<const std::byte> cb, std::uint32_t magic,
   return true;
 }
 
+Status NotOpen() { return Status(ErrorCode::kFailedPrecondition, "not open"); }
+
+// Reading the log back needs the whole retained history in the ring.
+Status Wrapped() {
+  return Status(ErrorCode::kFailedPrecondition,
+                "log wrapped; full history not retained");
+}
+
 // 1 + the LSN of the last whole frame in `frames` (1 when there is none).
 std::uint64_t NextLsnAfter(std::span<const std::byte> frames) {
   FrameScanState scan;
@@ -135,12 +143,6 @@ Task<Status> DiskLogDevice::Append(nsk::NskProcess& host,
   co_return st;
 }
 
-// Walks length/crc frames without deserializing payloads (the canonical
-// walk in common/framescan.h, shared with the device-side VerifyScan).
-std::uint64_t ValidFramePrefix(std::span<const std::byte> image) {
-  return FrameScanPrefix(image);
-}
-
 Task<Result<std::vector<std::byte>>> ScanFramedVolume(
     nsk::NskProcess& host, storage::DiskVolume& volume) {
   constexpr std::uint64_t kScanChunk = 4 << 20;
@@ -156,9 +158,11 @@ Task<Result<std::vector<std::byte>>> ScanFramedVolume(
     // not O(n²)). Only a hard stop — the len==0 sentinel or a CRC
     // mismatch — ends the scan early: a frame merely extending past the
     // bytes read so far may straddle the chunk boundary, and the next
-    // chunk decides whether it completes or is the torn tail.
+    // chunk decides whether it completes or is the torn tail. A short
+    // chunk ends at the volume's written extent: only zeros follow, so
+    // the walk would stop in this chunk either way.
     FrameScanStep(log, scan);
-    if (scan.hard_stop) break;
+    if (scan.hard_stop || chunk->size() < n) break;
   }
   log.resize(scan.durable_tail);
   co_return log;
@@ -171,10 +175,18 @@ Task<Result<std::vector<std::byte>>> DiskLogDevice::RecoverLog(
   // heuristic searching of audit trail information" the paper's PM
   // design eliminates. The scan cost is real (simulated) disk reads at
   // sequential bandwidth.
+  // The scan reads the log itself, so it is already ReadLog's image.
   auto log = co_await ScanFramedVolume(host, volume_);
   if (!log.ok()) co_return log.status();
   tail_ = log->size();
   co_return std::move(*log);
+}
+
+Task<Result<std::vector<std::byte>>> DiskLogDevice::ReadLog(
+    nsk::NskProcess& host) {
+  if (tail_ > volume_.capacity()) co_return Wrapped();
+  if (tail_ == 0) co_return std::vector<std::byte>{};
+  co_return co_await volume_.Read(host, 0, tail_);
 }
 
 // -------------------------------------------------------------- PmLogStream
@@ -241,9 +253,7 @@ Task<Status> PmLogDevice::Append(nsk::NskProcess& host,
                                  std::uint64_t op_id) {
   (void)host;
   (void)marks;  // the classic ring appends the bytes whole
-  if (!stream_.is_open()) {
-    co_return Status(ErrorCode::kFailedPrecondition, "not open");
-  }
+  if (!stream_.is_open()) co_return NotOpen();
   const std::uint64_t n = bytes.size();
   if (n == 0) co_return OkStatus();
   std::vector<std::byte> control =
@@ -274,10 +284,7 @@ Task<Result<bool>> PmLogDevice::LoadControl(nsk::NskProcess& host) {
   if (!present.ok()) co_return present.status();
   tail_ = fields[0];
   base_ = fields[1];
-  if (tail_ - base_ > config_.region_bytes) {
-    co_return Status(ErrorCode::kFailedPrecondition,
-                     "log wrapped; full history not retained");
-  }
+  if (tail_ - base_ > config_.region_bytes) co_return Wrapped();
   co_return *present;
 }
 
@@ -285,13 +292,19 @@ Task<Result<std::vector<std::byte>>> PmLogDevice::RecoverLog(
     nsk::NskProcess& host) {
   auto present = co_await LoadControl(host);
   if (!present.ok()) co_return present.status();
+  co_return co_await ReadLog(host);
+}
+
+Task<Result<std::vector<std::byte>>> PmLogDevice::ReadLog(
+    nsk::NskProcess& host) {
+  (void)host;
+  if (!stream_.is_open()) co_return NotOpen();
+  if (tail_ - base_ > config_.region_bytes) co_return Wrapped();
   if (tail_ == base_) co_return std::vector<std::byte>{};
   // The retained suffix [base, tail) sits at physical 0 — a Compact
   // re-anchors the ring there.
-  auto data = co_await stream_.region().Read(PmLogStream::kDataBase,
-                                             tail_ - base_);
-  if (!data.ok()) co_return data.status();
-  co_return std::move(*data);
+  co_return co_await stream_.region().Read(PmLogStream::kDataBase,
+                                           tail_ - base_);
 }
 
 Task<Result<LogDevice::RecoverySummary>> PmLogDevice::RecoverSummary(
@@ -326,16 +339,11 @@ Task<Result<LogDevice::RecoverySummary>> PmLogDevice::RecoverSummary(
 
 Task<Status> PmLogDevice::Compact(nsk::NskProcess& host, std::uint64_t cut) {
   (void)host;
-  if (!stream_.is_open()) {
-    co_return Status(ErrorCode::kFailedPrecondition, "not open");
-  }
+  if (!stream_.is_open()) co_return NotOpen();
   if (cut < base_ || cut > tail_) {
     co_return Status(ErrorCode::kOutOfRange, "cut outside the retained log");
   }
-  if (tail_ - base_ > config_.region_bytes) {
-    co_return Status(ErrorCode::kFailedPrecondition,
-                     "log wrapped; full history not retained");
-  }
+  if (tail_ - base_ > config_.region_bytes) co_return Wrapped();
   if (cut == base_) co_return OkStatus();
   const std::uint64_t keep = tail_ - cut;
   constexpr std::uint64_t kDataBase = PmLogStream::kDataBase;
@@ -447,9 +455,7 @@ Task<Status> ShardedPmLogDevice::Append(nsk::NskProcess& host,
                                         std::vector<std::byte> flat,
                                         std::vector<std::uint64_t> marks,
                                         std::uint64_t op_id) {
-  if (streams_.empty()) {
-    co_return Status(ErrorCode::kFailedPrecondition, "not open");
-  }
+  if (streams_.empty()) co_return NotOpen();
   if (!poison_.ok()) co_return poison_;
   const std::uint64_t n = flat.size();
   if (n == 0) co_return OkStatus();
@@ -534,20 +540,8 @@ Task<Status> ShardedPmLogDevice::Append(nsk::NskProcess& host,
   co_return OkStatus();
 }
 
-Task<Status> ShardedPmLogDevice::OpenRetained(nsk::NskProcess& host) {
-  auto status = co_await Open(host);
-  if (!status.ok()) co_return status;
-  for (const ShardStream& st : streams_) {
-    if (st.tail > config_.region_bytes) {
-      co_return Status(ErrorCode::kFailedPrecondition,
-                       "log stream wrapped; full history not retained");
-    }
-  }
-  co_return OkStatus();
-}
-
 Task<Result<ShardedPmLogDevice::FrameTables>> ShardedPmLogDevice::Merge(
-    std::vector<std::vector<pm::StripeFrame>> tables) {
+    const std::vector<std::vector<pm::StripeFrame>>& tables) {
   // T = the newest global tail any stream recorded. The serial flush
   // loop guarantees every flush before the one that recorded T also
   // committed, so the union of stream frames must cover [0, T).
@@ -615,29 +609,54 @@ Task<Result<ShardedPmLogDevice::FrameTables>> ShardedPmLogDevice::Merge(
 
 Task<Result<std::vector<std::byte>>> ShardedPmLogDevice::RecoverLog(
     nsk::NskProcess& host) {
-  if (Status st = co_await OpenRetained(host); !st.ok()) co_return st;
+  if (Status st = co_await Open(host); !st.ok()) co_return st;
+  co_return co_await ReadStreams(/*merge=*/true);
+}
+
+Task<Result<std::vector<std::byte>>> ShardedPmLogDevice::ReadLog(
+    nsk::NskProcess& host) {
+  (void)host;
+  if (streams_.empty()) co_return NotOpen();
+  // No merge: the live tail covers only fully committed flushes, and
+  // truncating stale stripes would rewrite controls under an in-flight
+  // Append.
+  co_return co_await ReadStreams(/*merge=*/false);
+}
+
+Task<Result<std::vector<std::byte>>> ShardedPmLogDevice::ReadStreams(
+    bool merge) {
+  // The tail to assemble up to, fixed before any read: a flush that
+  // commits between two stream reads must not leave a hole below it.
+  std::uint64_t tail = tail_;
   // Read every stream's committed bytes and walk their frame headers.
   std::vector<std::vector<std::byte>> data(streams_.size());
   std::vector<std::vector<pm::StripeFrame>> tables(streams_.size());
   for (std::size_t si = 0; si < streams_.size(); ++si) {
     ShardStream& st = streams_[si];
+    if (st.tail > config_.region_bytes) co_return Wrapped();
     if (st.tail == 0) continue;
     auto d = co_await st.log.region().Read(PmLogStream::kDataBase, st.tail);
     if (!d.ok()) co_return d.status();
     data[si] = std::move(*d);
     tables[si] = pm::WalkStripeFrames(data[si]);
   }
-  auto frames = co_await Merge(std::move(tables));
-  if (!frames.ok()) co_return frames.status();
-  // Every frame starting below the covered tail also ends there.
-  std::vector<std::byte> image(tail_);
+  if (merge) {
+    auto frames = co_await Merge(tables);
+    if (!frames.ok()) co_return frames.status();
+    tail = tail_;
+  }
+  // Stripe assembly: every frame wholly below the tail. Frames above it
+  // belong to a flush that had not completed.
+  std::vector<std::byte> image(tail);
   for (std::size_t si = 0; si < streams_.size(); ++si) {
-    for (const Frame& f : (*frames)[si]) {
-      if (f.gend > tail_) continue;
-      const std::uint64_t len = f.gend - f.goff;
-      std::copy_n(data[si].begin() +
-                      static_cast<std::ptrdiff_t>(f.spos_end - len),
-                  len, image.begin() + static_cast<std::ptrdiff_t>(f.goff));
+    std::uint64_t pos = 0;
+    for (const pm::StripeFrame& f : tables[si]) {
+      pos += kFrameHeader;
+      if (f.goff + f.len <= tail) {
+        std::copy_n(data[si].begin() + static_cast<std::ptrdiff_t>(pos), f.len,
+                    image.begin() + static_cast<std::ptrdiff_t>(f.goff));
+      }
+      pos += f.len;
     }
   }
   co_return image;
@@ -646,13 +665,14 @@ Task<Result<std::vector<std::byte>>> ShardedPmLogDevice::RecoverLog(
 Task<Result<LogDevice::RecoverySummary>> ShardedPmLogDevice::RecoverSummary(
     nsk::NskProcess& host) {
   if (!config_.offload) co_return co_await LogDevice::RecoverSummary(host);
-  if (Status st = co_await OpenRetained(host); !st.ok()) co_return st;
+  if (Status st = co_await Open(host); !st.ok()) co_return st;
   // Same merge as RecoverLog, but built from device-side stripe scans:
   // each stream returns its frame TABLE (headers only) — the payloads
   // never cross the fabric.
   std::vector<std::vector<pm::StripeFrame>> tables(streams_.size());
   for (std::size_t si = 0; si < streams_.size(); ++si) {
     ShardStream& st = streams_[si];
+    if (st.tail > config_.region_bytes) co_return Wrapped();
     if (st.tail == 0) continue;
     pm::PmRegion& region = st.log.region();
     auto resp = co_await region.DeviceCommand(
@@ -665,7 +685,7 @@ Task<Result<LogDevice::RecoverySummary>> ShardedPmLogDevice::RecoverSummary(
       co_return Status(ErrorCode::kInternal, "malformed stripe scan response");
     }
   }
-  auto frames = co_await Merge(std::move(tables));
+  auto frames = co_await Merge(tables);
   if (!frames.ok()) co_return frames.status();
   // The final record lives wholly inside the stripe ending at the
   // covered tail (stripes cut only at record boundaries) — read just

@@ -29,9 +29,9 @@
 // scanning the log.
 //
 // Every device is a logically infinite ring buffer: physical offsets
-// wrap modulo capacity. Recovery (RecoverLog) requires the retained
-// suffix to fit in capacity — true for all recovery tests; perf
-// benchmarks may wrap.
+// wrap modulo capacity. Reading the log back (RecoverLog, ReadLog)
+// requires the retained suffix to fit in capacity — true for all
+// recovery tests; perf benchmarks may wrap.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +73,19 @@ class LogDevice {
                                    std::uint64_t op_id = 0) = 0;
 
   // Recovery with no surviving in-memory state: locate the durable tail
-  // and return the retained log image (in log order). The time this takes
-  // — scan vs direct read — is the MTTR experiment.
+  // (the device's cold prelude) and return ReadLog's image. The time
+  // this takes — scan vs direct read — is the MTTR experiment. Never on
+  // a live log writer: it reinstalls the tail (and on the sharded device
+  // rewrites control blocks), racing an in-flight Append.
   virtual sim::Task<Result<std::vector<std::byte>>> RecoverLog(
+      nsk::NskProcess& host) = 0;
+
+  // The durable log [log_base, tail), in log order, read from an open
+  // device without changing any device state — safe beside an in-flight
+  // Append, whose bytes lie above the tail. This is what every redo
+  // reader gets (kAdpReadLog). kFailedPrecondition once the ring wrapped
+  // past the retained history.
+  virtual sim::Task<Result<std::vector<std::byte>>> ReadLog(
       nsk::NskProcess& host) = 0;
 
   // Summary-based cold recovery: what the log writer needs to resume
@@ -103,8 +113,8 @@ class LogDevice {
 
   // Where a DP2 can stream committed records straight from the device
   // (the ShipReplay command), bypassing the log writer's host hop.
-  // Engaged only by the active-offload PmLogDevice; nullopt = replay
-  // must go through the host (kAdpReadLog).
+  // Engaged only by the active-offload PmLogDevice; nullopt = the DP2
+  // redoes from ReadLog's image instead (kAdpReadLog).
   struct ReplaySource {
     std::string pmm_service;
     std::string region_name;
@@ -140,6 +150,8 @@ class DiskLogDevice final : public LogDevice {
                            std::vector<std::uint64_t> marks = {},
                            std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
+      nsk::NskProcess& host) override;
+  sim::Task<Result<std::vector<std::byte>>> ReadLog(
       nsk::NskProcess& host) override;
 
   [[nodiscard]] std::uint64_t tail() const noexcept override { return tail_; }
@@ -234,6 +246,8 @@ class PmLogDevice final : public LogDevice {
                            std::vector<std::uint64_t> marks = {},
                            std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
+      nsk::NskProcess& host) override;
+  sim::Task<Result<std::vector<std::byte>>> ReadLog(
       nsk::NskProcess& host) override;
   sim::Task<Result<RecoverySummary>> RecoverSummary(
       nsk::NskProcess& host) override;
@@ -332,6 +346,8 @@ class ShardedPmLogDevice final : public LogDevice {
                            std::uint64_t op_id = 0) override;
   sim::Task<Result<std::vector<std::byte>>> RecoverLog(
       nsk::NskProcess& host) override;
+  sim::Task<Result<std::vector<std::byte>>> ReadLog(
+      nsk::NskProcess& host) override;
   sim::Task<Result<RecoverySummary>> RecoverSummary(
       nsk::NskProcess& host) override;
 
@@ -376,9 +392,11 @@ class ShardedPmLogDevice final : public LogDevice {
                                  std::vector<std::byte> framed,
                                  std::uint64_t new_global,
                                  std::uint64_t op_id);
-  // Recovery prelude: opens the streams if needed, then fails if any
-  // stream's ring wrapped past its retained history.
-  sim::Task<Status> OpenRetained(nsk::NskProcess& host);
+  // Reads every stream's committed bytes and assembles the global log
+  // [0, tail) from their stripe frames; with `merge`, runs Merge on the
+  // frame tables first (cold recovery). kFailedPrecondition if a stream
+  // wrapped.
+  sim::Task<Result<std::vector<std::byte>>> ReadStreams(bool merge);
   // Cold-recovery merge shared by RecoverLog and RecoverSummary.
   // `tables[s]` is stream s's frame table in stream order. Checks every
   // table against its stream's committed control, takes the covered
@@ -386,7 +404,7 @@ class ShardedPmLogDevice final : public LogDevice {
   // stripes above a hole (rewriting their controls durably) and installs
   // the covered prefix as the tail. Returns the surviving frames.
   sim::Task<Result<FrameTables>> Merge(
-      std::vector<std::vector<pm::StripeFrame>> tables);
+      const std::vector<std::vector<pm::StripeFrame>>& tables);
 
   ShardedPmLogConfig config_;
   std::vector<ShardStream> streams_;
@@ -399,9 +417,6 @@ class ShardedPmLogDevice final : public LogDevice {
 
 // Factory used by ADP configuration.
 enum class LogMedium { kDisk, kPm };
-
-// Length of the valid frame prefix of a raw framed-log image.
-[[nodiscard]] std::uint64_t ValidFramePrefix(std::span<const std::byte> image);
 
 // Sequentially scans a volume holding framed records (timed disk reads)
 // and returns the valid prefix — shared by the disk log writer and DP2

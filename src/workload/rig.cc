@@ -122,8 +122,6 @@ void Rig::BuildPm() {
 }
 
 void Rig::BuildAdps() {
-  tp::AdpConfig adp_cfg;
-  adp_cfg.retain_log_image = config_.retain_log_image;
   for (int i = 0; i < config_.num_adps; ++i) {
     const std::string service = Catalog::AdpName(i);
     const int cpu = i % config_.num_cpus;
@@ -151,12 +149,12 @@ void Rig::BuildAdps() {
       return std::make_unique<tp::PmLogDevice>(pm_cfg);
     };
     tp::AdpProcess& primary = sim_.AdoptStopped<tp::AdpProcess>(
-        *cluster_, cpu, service, service + "-P", make_device(), adp_cfg);
+        *cluster_, cpu, service, service + "-P", make_device());
     tp::AdpProcess* backup = nullptr;
     if (config_.with_backups) {
       backup = &sim_.AdoptStopped<tp::AdpProcess>(*cluster_, backup_cpu,
                                                   service, service + "-B",
-                                                  make_device(), adp_cfg);
+                                                  make_device());
       primary.SetPeer(backup);
       backup->SetPeer(&primary);
     }
@@ -194,7 +192,6 @@ void Rig::BuildDp2s() {
       dp2_cfg.adp_service = adp;
       dp2_cfg.force_audit_each_write = config_.force_audit_per_insert;
       dp2_cfg.data_volume = data_volumes_[static_cast<std::size_t>(idx)].get();
-      dp2_cfg.offload_replay = config_.pm_offload;
       dp2_cfg.file_id = static_cast<std::uint32_t>(f);
       dp2_cfg.partition = static_cast<std::uint32_t>(part);
       dp2_cfg.partitions_per_file =

@@ -61,7 +61,10 @@ struct RigConfig {
   // commits to be able to wait out the flush queue instead of timing
   // out and wasting the audit bandwidth they already consumed.
   sim::SimDuration tmf_resolve_timeout = sim::Milliseconds(500);
-  bool retain_log_image = false;  // needed by cold-recovery experiments
+  // Has no effect: redo reads the durable trail off the log device.
+  // Still declared only because the repo benchmark sets it; the next
+  // benchmark change drops that write and deletes this field.
+  bool retain_log_image = false;
   // Active NPMU offload (ISSUE 9): arm the device command engine and use
   // it everywhere it helps — ADP cold recovery via device VerifyScan,
   // DP2 redo via device ShipReplay, log truncation via device CompactTo.

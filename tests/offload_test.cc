@@ -603,7 +603,6 @@ TEST(OffloadRecovery, PowerLossRecoveryRunsDeviceSide) {
   cfg.log_medium = tp::LogMedium::kPm;
   cfg.pm_device = workload::PmDeviceKind::kNpmuPair;
   cfg.pm_tcb = true;
-  cfg.retain_log_image = false;  // offload replaces the host log image
   cfg.pm_offload = true;
   workload::Rig rig(sim, cfg);
   sim.RunFor(Seconds(1));

@@ -652,6 +652,48 @@ TEST_F(PmFixture, WriteScatterReportsDeadMirrorAndSucceedsOnSurvivor) {
   EXPECT_EQ(npmu_a.data_memory()[8192], std::byte{0x5C});
 }
 
+TEST_F(PmFixture, AsyncTokenResolvingAfterADemotionReportsNothingMore) {
+  // Two async writes are posted under the same roles to a primary that
+  // has died. The first resolves and reports it; the second is posted
+  // once the PMM has committed that demotion, before its reply refreshes
+  // the handle, and resolves after the refresh — against a handle that
+  // already names the survivor as primary. It must count the recorded
+  // demotion, not report the survivor dead (which the PMM refuses, still
+  // committing).
+  std::uint64_t commits = 0;
+  std::uint32_t primary = 0;
+  Status first, second;
+  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
+    PmClient client(self, "$PMM");
+    auto region = co_await client.Create("r1", 128 * 1024);
+    EXPECT_TRUE(region.ok());
+    auto committed = [&] {
+      return sim.metrics().CounterValue("pmm.metadata_commits");
+    };
+    const std::uint64_t before = committed();
+    npmu_a.Fail();  // the primary
+    PmWriteToken small = region->WriteAsync(0, Fill(64, 0x01));
+    while (committed() == before) co_await self.Sleep(Microseconds(1));
+    EXPECT_EQ(region->handle().primary_endpoint, npmu_a.id().value)
+        << "posted under the old roles";
+    PmWriteToken large = region->WriteAsync(4096, Fill(64 * 1024, 0x02));
+    first = co_await small.Wait();
+    EXPECT_FALSE(large.ready()) << "the large write must resolve second";
+    second = co_await large.Wait();
+    commits = committed() - before;
+    auto reopened = co_await client.Open("r1");  // the PMM's roles
+    EXPECT_TRUE(reopened.ok());
+    if (reopened.ok()) primary = reopened->handle().primary_endpoint;
+  });
+  sim.RunUntil(SimTime{Seconds(5).ns});
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  EXPECT_TRUE(second.ok()) << second.ToString();
+  EXPECT_EQ(primary, npmu_b.id().value) << "the survivor stays primary";
+  EXPECT_FALSE(pmm_p->mirror_up());
+  EXPECT_EQ(commits, 1u) << "one demotion, committed once";
+  EXPECT_EQ(npmu_b.data_memory()[4096 + 64 * 1024 - 1], std::byte{0x02});
+}
+
 // ------------------------------------------------- mirrored-write failover
 
 // Every mirrored entry point resolves a dead device through the one

@@ -50,7 +50,6 @@ TEST_P(CrashPointTest, CommittedSurvivesUncommittedDoesNot) {
   cfg.num_files = 2;
   cfg.partitions_per_file = 2;
   cfg.num_adps = 2;
-  cfg.retain_log_image = true;
   if (pm) {
     cfg.log_medium = tp::LogMedium::kPm;
     cfg.pm_device = workload::PmDeviceKind::kNpmuPair;

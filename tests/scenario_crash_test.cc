@@ -54,7 +54,6 @@ RigConfig CrashScenarioRig() {
   cfg.log_medium = tp::LogMedium::kPm;
   cfg.pm_device = PmDeviceKind::kNpmuPair;
   cfg.pm_tcb = true;
-  cfg.retain_log_image = true;  // power-loss cold recovery replays from it
   return cfg;
 }
 

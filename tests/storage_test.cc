@@ -49,6 +49,30 @@ TEST(DiskTest, WriteThenReadBack) {
   EXPECT_EQ((*got)[0], std::byte{0xCD});
 }
 
+TEST(DiskTest, ReadLeavesOffTheNeverWrittenTailButIsTimedInFull) {
+  sim::Simulation sim;
+  DiskVolume disk(sim, "d0");
+  Result<std::vector<std::byte>> spans(Status(ErrorCode::kInternal, "unset"));
+  Result<std::vector<std::byte>> past(Status(ErrorCode::kInternal, "unset"));
+  sim::SimDuration past_took{};
+  sim.Spawn<LambdaProcess>("p", [&](LambdaProcess& self) -> Task<void> {
+    EXPECT_TRUE((co_await disk.Write(self, 4096, Fill(1024, 0xCD))).ok());
+    spans = co_await disk.Read(self, 0, 1 << 20);
+    const sim::SimDuration expected = disk.ServiceTime(8192, 1 << 20);
+    const SimTime t0 = self.sim().Now();
+    past = co_await disk.Read(self, 8192, 1 << 20);
+    past_took = self.sim().Now() - t0;
+    EXPECT_EQ(past_took.ns, expected.ns) << "timed for every byte asked";
+  });
+  sim.Run();
+  ASSERT_TRUE(spans.ok());
+  ASSERT_EQ(spans->size(), 4096u + 1024u) << "stops at the written extent";
+  EXPECT_EQ((*spans)[0], std::byte{0}) << "unwritten sectors below it read 0";
+  EXPECT_EQ((*spans)[4096 + 1023], std::byte{0xCD});
+  ASSERT_TRUE(past.ok());
+  EXPECT_TRUE(past->empty());
+}
+
 TEST(DiskTest, RandomWriteIsMillisecondClass) {
   // §3.2: the storage stack costs "100s of microseconds — usually
   // milliseconds". A random 4K write must land in that band.

@@ -47,7 +47,6 @@ RigConfig DiskRig() {
   cfg.num_files = 2;
   cfg.partitions_per_file = 2;
   cfg.num_adps = 2;
-  cfg.retain_log_image = true;
   return cfg;
 }
 
@@ -324,6 +323,129 @@ TEST_F(SystemTest, PowerLossKeepsCommittedDropsUncommittedDisk) {
     EXPECT_TRUE((co_await client.Commit(*check)).ok());
   }, /*cpu=*/3);
 }
+
+// ----------------------------------------- crash inside the flush window
+
+// A DP2 writes committed records to its data volume only every
+// flush_interval (250 ms). A crash inside that window must lose no acked
+// commit: recovery redoes them from the durable trail, read off the log
+// device. Each row commits kAcked transactions with one more left in
+// flight, then crashes in the same sim instant the last commit acks.
+enum class TrailRig { kDisk, kPm, kPmTwoShards };
+
+RigConfig MakeTrailRig(TrailRig kind) {
+  if (kind == TrailRig::kDisk) return DiskRig();
+  RigConfig cfg = PmRig();
+  if (kind == TrailRig::kPmTwoShards) cfg.num_pm_shards = 2;
+  return cfg;
+}
+
+struct FlushWindowCrash : SystemTest,
+                          ::testing::WithParamInterface<TrailRig> {
+  static constexpr int kAcked = 6;
+  static constexpr std::uint64_t kInFlightKey = 600;
+
+  static std::uint32_t FileOf(int i) {
+    return static_cast<std::uint32_t>(i % 2);
+  }
+  static std::uint64_t KeyOf(int i) {
+    return 700 + static_cast<std::uint64_t>(i);
+  }
+
+  // Leaves one transaction in flight, commits kAcked more, and calls
+  // `crash` the instant the last commit acks.
+  void CommitThenCrash(std::function<void()> crash) {
+    RunApp([&](App& self) -> Task<void> {
+      TxnClient client(self, rig->catalog());
+      auto in_flight = co_await client.Begin();
+      EXPECT_TRUE((co_await client.Insert(*in_flight, 0, kInFlightKey,
+                                          Value(0xBD)))
+                      .ok());
+      for (int i = 0; i < kAcked; ++i) {
+        auto txn = co_await client.Begin();
+        EXPECT_TRUE((co_await client.Insert(
+                         *txn, FileOf(i), KeyOf(i),
+                         Value(static_cast<std::uint8_t>(i + 1))))
+                        .ok());
+        EXPECT_TRUE((co_await client.Commit(*txn)).ok());
+      }
+      std::uint64_t flushed = 0;
+      for (auto* v : rig->data_volumes()) flushed += v->bytes_written();
+      EXPECT_EQ(flushed, 0u) << "the crash must land inside the flush window";
+      crash();
+    });
+  }
+
+  // Reads back every acked key served by `dp2_service` (every DP2 when
+  // empty) and the in-flight key, which must not exist.
+  void ExpectAckedOnly(const std::string& dp2_service = "") {
+    RunApp([&](App& self) -> Task<void> {
+      TxnClient client(self, rig->catalog());
+      auto check = co_await client.Begin();
+      EXPECT_TRUE(check.ok()) << check.status().ToString();
+      int read = 0;
+      for (int i = 0; i < kAcked; ++i) {
+        if (!dp2_service.empty() &&
+            rig->catalog().Route(FileOf(i), KeyOf(i)).dp2_service !=
+                dp2_service) {
+          continue;
+        }
+        ++read;
+        auto v = co_await client.Read(*check, FileOf(i), KeyOf(i));
+        EXPECT_TRUE(v.ok()) << "acked txn " << i << " lost: "
+                            << v.status().ToString();
+        if (v.ok()) {
+          EXPECT_EQ((*v)[0], static_cast<std::byte>(i + 1));
+        }
+      }
+      EXPECT_GT(read, 0) << dp2_service << " serves no acked key";
+      if (dp2_service.empty() ||
+          rig->catalog().Route(0, kInFlightKey).dp2_service == dp2_service) {
+        auto missing = co_await client.Read(*check, 0, kInFlightKey);
+        EXPECT_EQ(missing.status().code(), ErrorCode::kNotFound)
+            << "uncommitted data must not survive";
+      }
+      EXPECT_TRUE((co_await client.Commit(*check)).ok());
+    }, /*cpu=*/3);
+  }
+};
+
+TEST_P(FlushWindowCrash, PowerLossKeepsEveryAckedCommit) {
+  Start(MakeTrailRig(GetParam()));
+  CommitThenCrash([&] { rig->PowerLoss(); });
+  sim->RunFor(Seconds(1));
+  rig->RestartAfterPowerLoss();
+  sim->RunFor(Seconds(30));
+  ExpectAckedOnly();
+}
+
+TEST_P(FlushWindowCrash, Dp2PairRestartRedoesFromTheLiveTrail) {
+  // The ADPs stay up: the restarted DP2 pair redoes from the trail its
+  // ADP reads off the live log device, with no cold recovery.
+  Start(MakeTrailRig(GetParam()));
+  tp::Dp2Process* primary = rig->dp2s().front();
+  auto* backup = primary->peer();
+  CommitThenCrash([&] {
+    primary->Kill();
+    backup->Kill();
+  });
+  primary->Restart();
+  backup->Restart();
+  sim->RunFor(Seconds(30));
+  ExpectAckedOnly(primary->service_name());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rigs, FlushWindowCrash,
+    ::testing::Values(TrailRig::kDisk, TrailRig::kPm, TrailRig::kPmTwoShards),
+    [](const ::testing::TestParamInfo<TrailRig>& cell) -> std::string {
+      switch (cell.param) {
+        case TrailRig::kDisk: return "Disk";
+        case TrailRig::kPm: return "Pm";
+        case TrailRig::kPmTwoShards: return "PmTwoShards";
+      }
+      return "";
+    });
 
 // ------------------------------------------------------------- hot stock
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/framescan.h"
 #include "common/serialize.h"
 #include "db/txn_client.h"
 #include "nsk/cluster.h"
@@ -51,7 +52,6 @@ struct TmfAdpFixture : ::testing::Test {
     cfg.num_files = 2;
     cfg.partitions_per_file = 2;
     cfg.num_adps = 2;
-    cfg.retain_log_image = true;
     if (pm) {
       cfg.log_medium = LogMedium::kPm;
       cfg.pm_device = workload::PmDeviceKind::kNpmuPair;
@@ -425,7 +425,7 @@ TEST(PmLogTornWrite, ControlBlockNeverDurableBeforeItsData) {
   // The invariant: the tail pointer is never durable before the data it
   // covers — the recovered prefix parses as whole valid frames, and no
   // acknowledged append is missing.
-  EXPECT_EQ(ValidFramePrefix(img), img.size())
+  EXPECT_EQ(FrameScanPrefix(img), img.size())
       << "durable tail covers bytes that never validly landed";
   EXPECT_GE(img.size(), acked) << "an acknowledged append was lost";
 }

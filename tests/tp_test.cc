@@ -415,5 +415,67 @@ TEST_F(LogDeviceFixture, PmLogRingWraps) {
   sim.Run();
 }
 
+TEST_F(LogDeviceFixture, LiveReadReturnsTheDurableTrailAndChangesNothing) {
+  StartPm();
+  storage::DiskVolume vol(sim, "audit0");
+  PmLogConfig cfg;
+  cfg.region_name = "audit-test";
+  sim.Adopt<TestProcess>(cluster, 2, "p", [&](TestProcess& self) -> Task<void> {
+    DiskLogDevice disk(vol);
+    PmLogDevice pmdev(cfg);
+    EXPECT_TRUE((co_await pmdev.Open(self)).ok());
+    std::vector<std::byte> trail;
+    for (int i = 0; i < 3; ++i) {
+      auto batch = FramedBatch(4, static_cast<std::uint64_t>(i) * 4 + 1);
+      trail.insert(trail.end(), batch.begin(), batch.end());
+      EXPECT_TRUE((co_await disk.Append(self, batch)).ok());
+      EXPECT_TRUE((co_await pmdev.Append(self, std::move(batch))).ok());
+    }
+    for (LogDevice* dev : {static_cast<LogDevice*>(&disk),
+                           static_cast<LogDevice*>(&pmdev)}) {
+      auto log = co_await dev->ReadLog(self);
+      EXPECT_TRUE(log.ok()) << dev->kind() << ": " << log.status().ToString();
+      if (log.ok()) {
+        EXPECT_EQ(*log, trail) << dev->kind();
+      }
+      EXPECT_EQ(dev->tail(), trail.size()) << dev->kind();
+      // Still appendable where it was: the read moved nothing.
+      EXPECT_TRUE((co_await dev->Append(self, FramedBatch(1, 13))).ok());
+    }
+  });
+  sim.Run();
+}
+
+// Appending past capacity wraps the ring over the oldest bytes: the live
+// read must refuse rather than hand redo a log whose head was
+// overwritten.
+TEST_F(LogDeviceFixture, LiveReadRefusesAWrappedRing) {
+  StartPm();
+  storage::DiskVolume vol(sim, "audit0",
+                          storage::DiskConfig{.capacity_bytes = 4096});
+  PmLogConfig cfg;
+  cfg.region_name = "tiny";
+  cfg.region_bytes = 4096;
+  sim.Adopt<TestProcess>(cluster, 2, "p", [&](TestProcess& self) -> Task<void> {
+    DiskLogDevice disk(vol);
+    PmLogDevice pmdev(cfg);
+    EXPECT_TRUE((co_await pmdev.Open(self)).ok());
+    for (LogDevice* dev : {static_cast<LogDevice*>(&disk),
+                           static_cast<LogDevice*>(&pmdev)}) {
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_TRUE(
+            (co_await dev->Append(self,
+                                  std::vector<std::byte>(1024, std::byte{1})))
+                .ok());
+      }
+      EXPECT_EQ(dev->tail(), 5u * 1024u) << dev->kind();
+      auto log = co_await dev->ReadLog(self);
+      EXPECT_EQ(log.status().code(), ErrorCode::kFailedPrecondition)
+          << dev->kind() << ": " << log.status().ToString();
+    }
+  });
+  sim.Run();
+}
+
 }  // namespace
 }  // namespace ods::tp
