@@ -16,22 +16,7 @@ using namespace ods;
 using namespace ods::bench;
 using sim::Task;
 
-namespace {
-
-class App : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(App&)>;
-  App(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
-
-}  // namespace
+using App = nsk::AppProcess;
 
 int main() {
   sim::Simulation sim(67);

@@ -35,18 +35,7 @@ struct Order {
   pm::PmPtr<Order> next;
 };
 
-class App : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(App&)>;
-  App(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using App = nsk::AppProcess;
 
 }  // namespace
 

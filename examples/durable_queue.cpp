@@ -19,18 +19,7 @@ using sim::Task;
 
 namespace {
 
-class App : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(App&)>;
-  App(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using App = nsk::AppProcess;
 
 std::vector<std::byte> MakeOrder(std::uint64_t id, char side,
                                  std::uint64_t qty) {

@@ -31,18 +31,7 @@ struct Stats {
   double ingest_p99_us = 0;
 };
 
-class App : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(App&)>;
-  App(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using App = nsk::AppProcess;
 
 std::vector<std::byte> MakeCdr(Rng& rng) {
   // caller, callee, duration, cell id, ... modelled as a 512B record.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -78,6 +79,22 @@ class NskProcess : public sim::Process {
   Cluster& cluster_;
   Cpu& cpu_;
   sim::Channel<Request> mailbox_;
+};
+
+// A process whose Main is a caller-supplied body: application drivers in
+// tests, benches and examples, and workload::History's checker.
+class AppProcess : public NskProcess {
+ public:
+  using Body = std::function<sim::Task<void>(AppProcess&)>;
+  AppProcess(Cluster& cluster, int cpu_index, std::string name, Body body)
+      : NskProcess(cluster, cpu_index, std::move(name)),
+        body_(std::move(body)) {}
+
+ protected:
+  sim::Task<void> Main() override { return body_(*this); }
+
+ private:
+  Body body_;
 };
 
 // Maps names to processes. Service names (pair names) are re-registered

@@ -118,6 +118,7 @@ DurabilityMode PmRegion::EffectiveDurability() const noexcept {
 }
 
 Task<bool> PmRegion::ReportDeviceDown(std::uint32_t endpoint) {
+  auto one_at_a_time = co_await reporting_->Acquire(*host_);
   if (handle_.primary_endpoint != endpoint &&
       !(handle_.mirror_up && handle_.mirror_endpoint == endpoint)) {
     co_return true;  // already demoted

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -161,7 +162,8 @@ class PmRegion {
   PmRegion(PmClient& client, nsk::NskProcess& host, RegionHandle handle,
            std::string owner_service)
       : client_(&client), host_(&host), handle_(std::move(handle)),
-        owner_service_(std::move(owner_service)) {}
+        owner_service_(std::move(owner_service)),
+        reporting_(std::make_shared<sim::SimMutex>(host.sim())) {}
 
   // One op's legs: on the primary and, if the mirror was up, the mirror.
   struct MirrorLegs {
@@ -217,7 +219,9 @@ class PmRegion {
   // A device the handle already shows demoted (neither primary nor up
   // mirror) is not reported again: the handle changes only on an acked
   // report, so that demotion is durable, and a second report would name
-  // the promoted survivor.
+  // the promoted survivor. Reports go one at a time, so a report made
+  // while another is in flight awaits it and then finds its device
+  // demoted instead of reporting it again.
   sim::Task<bool> ReportDeviceDown(std::uint32_t endpoint);
 
   PmClient* client_ = nullptr;
@@ -225,6 +229,7 @@ class PmRegion {
   RegionHandle handle_;
   std::string owner_service_;
   std::optional<DurabilityMode> durability_;
+  std::shared_ptr<sim::SimMutex> reporting_;  // held by ReportDeviceDown
 };
 
 // Pipelines mirrored writes through a region at a fixed queue depth.

@@ -208,7 +208,7 @@ Task<void> Dp2Process::HandleResolve(Request& req) {
   ckpt.PutU64(txn);
   ckpt.PutBool(committed);
   (void)co_await CheckpointToBackup(std::move(ckpt).Take());
-  if (committed && config_.background_flush && !dirty_.empty() &&
+  if (committed && !dirty_.empty() &&
       !flusher_running_ && config_.data_volume != nullptr) {
     flusher_running_ = true;
     SpawnFiber([](Dp2Process& self) -> Task<void> {
@@ -285,14 +285,11 @@ Task<bool> Dp2Process::OffloadReplay() {
                                  config_.partitions_per_file));
   if (!resp.ok()) co_return false;
   // The device pre-filtered the stream: every frame is a committed update
-  // for this partition, in LSN order. One pass, no commit set to build.
+  // for this partition, in LSN order. No commit set to build.
+  std::vector<AuditRecord> redo;
   LogScanner scan(*resp);
-  std::uint64_t applied = 0;
-  while (auto rec = scan.Next()) {
-    table_[LockKey{rec->file_id, rec->key}] = std::move(rec->after_image);
-    ++applied;
-  }
-  co_await Compute(config_.apply_cpu * static_cast<std::int64_t>(applied));
+  while (auto rec = scan.Next()) redo.push_back(std::move(*rec));
+  co_await ApplyRedo(std::move(redo));
   co_return true;
 }
 
@@ -337,17 +334,37 @@ Task<void> Dp2Process::RedoFromTrail() {
   // trail may contain records for sibling partitions; re-applying
   // them here is idempotent and harmless — clients route by the
   // partition map, so foreign keys are never served from this DP2.)
+  std::vector<AuditRecord> redo;
   LogScanner scan(log->payload);
-  std::uint64_t applied = 0;
   while (auto rec = scan.Next()) {
-    if (rec->type != AuditType::kUpdate || !committed.count(rec->txn)) {
-      continue;
+    if (rec->type == AuditType::kUpdate && committed.count(rec->txn)) {
+      redo.push_back(std::move(*rec));
     }
-    table_[LockKey{rec->file_id, rec->key}] = std::move(rec->after_image);
-    ++applied;
   }
-  // Charge CPU for the redo pass.
-  co_await Compute(config_.apply_cpu * static_cast<std::int64_t>(applied));
+  co_await ApplyRedo(std::move(redo));
+}
+
+Task<void> Dp2Process::ApplyRedo(std::vector<AuditRecord> redo) {
+  co_await Compute(config_.apply_cpu * static_cast<std::int64_t>(redo.size()));
+  if (redo.empty()) co_return;
+  std::set<std::uint64_t> kept;
+  for (const AuditRecord& rec : redo) kept.insert(rec.txn);
+  Serializer s;
+  s.PutU32(static_cast<std::uint32_t>(kept.size()));
+  for (std::uint64_t txn : kept) s.PutU64(txn);
+  auto r = co_await Call(kTmfService, kTmfAbortedOf, std::move(s).Take());
+  if (r.ok() && r->status.ok()) {
+    Deserializer d(r->payload);
+    std::uint32_t n = 0;
+    std::uint64_t txn = 0;
+    for (bool ok = d.GetU32(n); ok && n > 0; --n) {
+      if ((ok = d.GetU64(txn))) kept.erase(txn);
+    }
+  }
+  for (AuditRecord& rec : redo) {
+    if (!kept.contains(rec.txn)) continue;
+    table_[LockKey{rec.file_id, rec.key}] = std::move(rec.after_image);
+  }
 }
 
 Task<void> Dp2Process::HandleRequest(Request req) {

@@ -46,7 +46,6 @@ struct Dp2Config {
   sim::SimDuration scan_cpu = sim::Microseconds(2);
   sim::SimDuration lock_timeout = sim::Milliseconds(500);
   sim::SimDuration flush_interval = sim::Milliseconds(250);
-  bool background_flush = true;
   // This partition's catalog identity. Cold-recovery redo first asks the
   // ADP for a replay source (kAdpReplaySource): an active NPMU then ships
   // only this partition's committed updates (ShipReplay), filtered by
@@ -112,6 +111,12 @@ class Dp2Process : public nsk::PairMember {
   // Cold-recovery redo from the durable trail the ADP reads off its
   // device (kAdpReadLog).
   sim::Task<void> RedoFromTrail();
+  // Charges the redo CPU, then applies the committed updates `redo` (LSN
+  // order) except those of transactions the TMF holds as aborted
+  // (kTmfAbortedOf): a power loss mid-commit can leave the commit record
+  // in this trail and not in a sibling's, and the TMF resolves such a
+  // commit as aborted. When the TMF cannot be asked, every update applies.
+  sim::Task<void> ApplyRedo(std::vector<AuditRecord> redo);
 
   // Applies a mutation locally (both roles use this).
   void ApplyWrite(std::uint64_t txn, LockKey key,

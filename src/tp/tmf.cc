@@ -79,9 +79,10 @@ TmfProcess::TmfProcess(nsk::Cluster& cluster, int cpu_index,
   }
 }
 
-Task<void> TmfProcess::NoteState(std::uint64_t txn, TxnState state) {
+Task<Status> TmfProcess::NoteState(std::uint64_t txn, TxnState state) {
   tcbs_[txn] = state;
   std::vector<std::byte> entry = EncodeTransition(txn, state);
+  Status recorded;
   if (tcb_log_ != nullptr) {
     // Fine-grained synchronous persistence of the control block.
     std::vector<std::byte> framed;
@@ -92,9 +93,10 @@ Task<void> TmfProcess::NoteState(std::uint64_t txn, TxnState state) {
                                              : AuditType::kUpdate;
     rec.key = static_cast<std::uint64_t>(state);
     FrameRecord(rec, framed);
-    (void)co_await tcb_log_->Append(*this, std::move(framed), {}, txn);
+    recorded = co_await tcb_log_->Append(*this, std::move(framed), {}, txn);
   }
   (void)co_await CheckpointToBackup(std::move(entry));
+  co_return recorded;
 }
 
 Task<Status> TmfProcess::FlushAudit(const std::vector<std::string>& adps,
@@ -139,7 +141,7 @@ void TmfProcess::ResolveFanout(std::uint64_t txn, bool committed,
 
 Task<void> TmfProcess::HandleBegin(Request& req) {
   const std::uint64_t txn = next_txn_++;
-  co_await NoteState(txn, TxnState::kActive);
+  (void)co_await NoteState(txn, TxnState::kActive);
   Serializer s;
   s.PutU64(txn);
   req.Respond(OkStatus(), std::move(s).Take());
@@ -165,7 +167,7 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
                    adps.size());
   }
   co_await Compute(config_.commit_cpu);
-  co_await NoteState(txn, TxnState::kCommitting);
+  (void)co_await NoteState(txn, TxnState::kCommitting);
 
   // The commit point: every involved audit trail durable, plus the
   // master audit trail (TMF's own outcome record lives there even when
@@ -182,7 +184,7 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
                  st.ok() ? 1 : 0);
   }
   if (!st.ok()) {
-    co_await NoteState(txn, TxnState::kAborted);
+    (void)co_await NoteState(txn, TxnState::kAborted);
     ResolveFanout(txn, false, dp2s);
     aborts_->Increment();
     req.Respond(Status(ErrorCode::kAborted,
@@ -192,9 +194,14 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
     }
     co_return;
   }
-  co_await NoteState(txn, TxnState::kCommitted);
+  // A commit whose control block did not record it would come back as
+  // aborted after a power loss (OnBecomePrimary): it is in doubt, not acked.
+  const Status recorded = co_await NoteState(txn, TxnState::kCommitted);
   commits_->Increment();
-  req.Respond(OkStatus());
+  req.Respond(recorded.ok() ? OkStatus()
+                            : Status(ErrorCode::kUnavailable,
+                                     "commit not recorded: " +
+                                         recorded.ToString()));
   if (tr != nullptr && tr->enabled()) {
     tr->AsyncEnd(TraceLane::kTmf, "txn.commit", sim().Now().ns, txn);
   }
@@ -210,7 +217,7 @@ Task<void> TmfProcess::HandleAbort(Request& req) {
     req.Respond(Status(ErrorCode::kInvalidArgument, "bad abort payload"));
     co_return;
   }
-  co_await NoteState(txn, TxnState::kAborted);
+  (void)co_await NoteState(txn, TxnState::kAborted);
   // Abort record in every participating trail plus the master (recovery
   // must see the outcome wherever it replays from).
   if (!config_.master_adp.empty() &&
@@ -241,15 +248,26 @@ Task<void> TmfProcess::HandleRequest(Request req) {
     case kTmfAbort:
       co_await HandleAbort(req);
       break;
-    case kTmfStatus: {
+    case kTmfAbortedOf: {
       Deserializer d(req.payload);
-      std::uint64_t txn = 0;
-      if (!d.GetU64(txn)) {
-        req.Respond(Status(ErrorCode::kInvalidArgument, "bad status payload"));
+      std::uint32_t n = 0;
+      std::vector<std::uint64_t> aborted;
+      bool ok = d.GetU32(n);
+      for (std::uint32_t i = 0; ok && i < n; ++i) {
+        std::uint64_t txn = 0;
+        ok = d.GetU64(txn);
+        auto it = tcbs_.find(txn);
+        if (ok && it != tcbs_.end() && it->second == TxnState::kAborted) {
+          aborted.push_back(txn);
+        }
+      }
+      if (!ok) {
+        req.Respond(Status(ErrorCode::kInvalidArgument, "bad txn list"));
         break;
       }
       Serializer s;
-      s.PutEnum(StateOf(txn));
+      s.PutU32(static_cast<std::uint32_t>(aborted.size()));
+      for (std::uint64_t txn : aborted) s.PutU64(txn);
       req.Respond(OkStatus(), std::move(s).Take());
       break;
     }
@@ -272,6 +290,12 @@ Task<void> TmfProcess::OnBecomePrimary(bool via_takeover) {
         while (auto rec = scan.Next()) {
           tcbs_[rec->txn] = static_cast<TxnState>(rec->key);
           next_txn_ = std::max(next_txn_, rec->txn + 1);
+        }
+        // A commit that died mid-flush was never acked, but its commit
+        // record may have reached some trails and not others: resolve it
+        // as aborted, which recovering DP2s honour (kTmfAbortedOf).
+        for (auto& [txn, state] : tcbs_) {
+          if (state == TxnState::kCommitting) state = TxnState::kAborted;
         }
         state_valid_ = true;
       }

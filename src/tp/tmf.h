@@ -6,8 +6,9 @@
 //
 // Commit protocol:
 //   1. TCB -> committing (checkpointed; optionally persisted to PM),
-//   2. flush every involved ADP in parallel — the commit record rides
-//      the master ADP's flush,
+//   2. flush every involved ADP in parallel, plus the master ADP
+//      (appended last to the list when no participant logs to it) — the
+//      commit record rides every one of those flushes,
 //   3. TCB -> committed, reply to the client,
 //   4. resolve fanout to the involved DP2s (release locks, undo drop).
 //
@@ -83,12 +84,14 @@ class TmfProcess : public nsk::PairMember {
   sim::Task<void> HandleAbort(nsk::Request& req);
 
   // Records a TCB transition: checkpoint to backup + optional PM write.
-  sim::Task<void> NoteState(std::uint64_t txn, TxnState state);
+  // Returns the PM write's status (ok without PM-resident TCBs).
+  sim::Task<Status> NoteState(std::uint64_t txn, TxnState state);
 
-  // Flushes all `adps` in parallel; the commit/abort record goes to the
-  // first (master). Returns the first failure, if any.
+  // Flushes all `adps` in parallel; the commit/abort record
+  // `outcome_payload` rides every one of those flushes. Returns the first
+  // failure, if any.
   sim::Task<Status> FlushAudit(const std::vector<std::string>& adps,
-                               std::vector<std::byte> master_payload);
+                               std::vector<std::byte> outcome_payload);
 
   void ResolveFanout(std::uint64_t txn, bool committed,
                      const std::vector<std::string>& dp2s);

@@ -71,7 +71,6 @@ struct RigConfig {
   // Off (the default) reproduces the passive rig byte-identically; on,
   // every offload path still falls back to the host path on failure.
   bool pm_offload = false;
-  bool with_backups = true;       // process pairs (vs singletons)
   // Ablation: force each insert's audit to durable media synchronously
   // (fine-grained persistence) instead of buffering until commit.
   bool force_audit_per_insert = false;

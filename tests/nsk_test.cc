@@ -23,19 +23,7 @@ using sim::Seconds;
 using sim::SimTime;
 using sim::Task;
 
-// A generic scriptable NSK process.
-class TestProcess : public NskProcess {
- public:
-  using Body = std::function<Task<void>(TestProcess&)>;
-  TestProcess(Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using TestProcess = AppProcess;
 
 // An echo server registered under a name.
 class EchoServer : public NskProcess {

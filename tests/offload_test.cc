@@ -32,6 +32,7 @@
 #include "storage/disk.h"
 #include "tp/audit.h"
 #include "tp/log_device.h"
+#include "workload/history.h"
 #include "workload/rig.h"
 
 namespace ods {
@@ -40,18 +41,7 @@ namespace {
 using sim::Seconds;
 using sim::Task;
 
-class App : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(App&)>;
-  App(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using App = nsk::AppProcess;
 
 tp::AuditRecord MakeRecord(std::uint64_t lsn, std::uint64_t txn,
                            tp::AuditType type, std::uint32_t file_id,
@@ -610,21 +600,26 @@ TEST(OffloadRecovery, PowerLossRecoveryRunsDeviceSide) {
   auto value = [](std::uint8_t v) {
     return std::vector<std::byte>(128, static_cast<std::byte>(v));
   };
+  workload::History history;
   bool loaded = false;
   sim.Adopt<App>(rig.cluster(), 2, "load", [&](App& self) -> Task<void> {
     db::TxnClient client(self, rig.catalog());
     auto committed = co_await client.Begin();
     EXPECT_TRUE(committed.ok());
     if (!committed.ok()) co_return;
+    const std::size_t h = history.Begin();
     for (std::uint64_t key = 500; key < 520; ++key) {
+      const auto file = static_cast<std::uint32_t>(key % 2);
+      history.Write(h, file, key, value(static_cast<std::uint8_t>(key)));
       EXPECT_TRUE((co_await client.Insert(
-                       *committed, static_cast<std::uint32_t>(key % 2), key,
+                       *committed, file, key,
                        value(static_cast<std::uint8_t>(key))))
                       .ok());
     }
-    EXPECT_TRUE((co_await client.Commit(*committed)).ok());
+    EXPECT_TRUE((co_await history.Commit(h, client, *committed)).ok());
     auto in_flight = co_await client.Begin();
     if (in_flight.ok()) {
+      history.Write(history.Begin(), 0, 900, value(0xBD));
       EXPECT_TRUE(
           (co_await client.Insert(*in_flight, 0, 900, value(0xBD))).ok());
     }
@@ -637,30 +632,7 @@ TEST(OffloadRecovery, PowerLossRecoveryRunsDeviceSide) {
   sim.RunFor(Seconds(1));
   rig.RestartAfterPowerLoss();
   sim.RunFor(Seconds(30));
-
-  bool checked = false;
-  sim.Adopt<App>(rig.cluster(), 3, "check", [&](App& self) -> Task<void> {
-    db::TxnClient client(self, rig.catalog());
-    auto check = co_await client.Begin();
-    EXPECT_TRUE(check.ok()) << check.status().ToString();
-    if (!check.ok()) co_return;
-    for (std::uint64_t key = 500; key < 520; ++key) {
-      auto v = co_await client.Read(*check, static_cast<std::uint32_t>(key % 2),
-                                    key);
-      EXPECT_TRUE(v.ok()) << "committed key " << key
-                          << " lost: " << v.status().ToString();
-      if (v.ok()) {
-        EXPECT_EQ((*v)[0], static_cast<std::byte>(key));
-      }
-    }
-    auto missing = co_await client.Read(*check, 0, 900);
-    EXPECT_EQ(missing.status().code(), ErrorCode::kNotFound)
-        << "uncommitted data must not survive";
-    EXPECT_TRUE((co_await client.Commit(*check)).ok());
-    checked = true;
-  });
-  sim.RunFor(Seconds(120));
-  ASSERT_TRUE(checked);
+  for (const std::string& v : history.Check(rig)) ADD_FAILURE() << v;
 
   // The recovery actually ran device-side, not through a silent fallback.
   const Counter* scans = sim.metrics().FindCounter("pm.offload.verify_scans");

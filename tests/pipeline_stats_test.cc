@@ -38,18 +38,7 @@ namespace {
 
 using sim::Task;
 
-class TestProcess : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(TestProcess&)>;
-  TestProcess(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using TestProcess = nsk::AppProcess;
 
 struct FabricSnapshot {
   std::uint64_t write_ops = 0;

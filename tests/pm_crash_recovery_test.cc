@@ -42,18 +42,7 @@ using sim::Milliseconds;
 using sim::Seconds;
 using sim::Task;
 
-class TestProcess : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(TestProcess&)>;
-  TestProcess(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using TestProcess = nsk::AppProcess;
 
 std::vector<std::byte> Fill(std::size_t n, std::uint8_t v) {
   return std::vector<std::byte>(n, static_cast<std::byte>(v));

@@ -20,18 +20,7 @@ namespace {
 using sim::Seconds;
 using sim::Task;
 
-class TestProcess : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(TestProcess&)>;
-  TestProcess(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using TestProcess = nsk::AppProcess;
 
 // A pointer-rich structure: a sorted singly-linked list of orders.
 struct Order {

@@ -30,18 +30,7 @@ using sim::Seconds;
 using sim::SimTime;
 using sim::Task;
 
-class TestProcess : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(TestProcess&)>;
-  TestProcess(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using TestProcess = nsk::AppProcess;
 
 std::vector<std::byte> Fill(std::size_t n, std::uint8_t v) {
   return std::vector<std::byte>(n, static_cast<std::byte>(v));
@@ -692,6 +681,33 @@ TEST_F(PmFixture, AsyncTokenResolvingAfterADemotionReportsNothingMore) {
   EXPECT_FALSE(pmm_p->mirror_up());
   EXPECT_EQ(commits, 1u) << "one demotion, committed once";
   EXPECT_EQ(npmu_b.data_memory()[4096 + 64 * 1024 - 1], std::byte{0x02});
+}
+
+TEST_F(PmFixture, TokensResolvingBeforeTheFirstReportAcksReportOnce) {
+  // Two async writes both resolve against a dead primary before the
+  // first one's report is acked. The second awaits that report instead
+  // of sending its own: one demotion, one metadata commit.
+  std::uint64_t commits = 0;
+  Status first, second;
+  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
+    PmClient client(self, "$PMM");
+    auto region = co_await client.Create("r1", 128 * 1024);
+    EXPECT_TRUE(region.ok());
+    const std::uint64_t before =
+        sim.metrics().CounterValue("pmm.metadata_commits");
+    npmu_a.Fail();  // the primary
+    PmWriteToken a = region->WriteAsync(0, Fill(64, 0x01));
+    PmWriteToken b = region->WriteAsync(4096, Fill(64, 0x02));
+    first = co_await a.Wait();
+    second = co_await b.Wait();
+    commits = sim.metrics().CounterValue("pmm.metadata_commits") - before;
+  });
+  sim.RunUntil(SimTime{Seconds(5).ns});
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  EXPECT_TRUE(second.ok()) << second.ToString();
+  EXPECT_FALSE(pmm_p->mirror_up());
+  EXPECT_EQ(commits, 1u) << "one demotion, committed once";
+  EXPECT_EQ(npmu_b.data_memory()[4096], std::byte{0x02});
 }
 
 // ------------------------------------------------- mirrored-write failover

@@ -23,6 +23,7 @@
 #include "sim/simulation.h"
 #include "tp/audit.h"
 #include "tp/lock.h"
+#include "workload/history.h"
 #include "workload/hot_stock.h"
 #include "workload/rig.h"
 
@@ -35,9 +36,10 @@ using sim::Task;
 
 // ---------------------------------------------------------------------------
 // Crash-point sweep: power loss at a parameterized instant during a
-// running insert workload. Invariant: after recovery, every transaction
-// the application saw commit is fully readable, and no key from an
-// unacknowledged transaction's *abort path* resurfaces incorrectly.
+// running insert workload. Invariant (workload::History): after recovery,
+// every transaction the application saw commit is fully readable, one
+// left open or aborted is invisible, and one whose commit was in flight is
+// all-or-nothing.
 
 class CrashPointTest
     : public ::testing::TestWithParam<std::tuple<int /*crash_ms*/, bool /*pm*/>> {};
@@ -58,14 +60,13 @@ TEST_P(CrashPointTest, CommittedSurvivesUncommittedDoesNot) {
   workload::Rig rig(sim, cfg);
   sim.RunFor(Seconds(1));
 
-  // The application records what it KNOWS committed.
-  auto committed = std::make_shared<std::vector<std::uint64_t>>();
+  // The application records every transaction in the history.
+  workload::History history;
   class Loader : public nsk::NskProcess {
    public:
     Loader(nsk::Cluster& cluster, workload::Rig& rig,
-           std::shared_ptr<std::vector<std::uint64_t>> committed)
-        : NskProcess(cluster, 2, "loader"), rig_(&rig),
-          committed_(std::move(committed)) {}
+           workload::History& history)
+        : NskProcess(cluster, 2, "loader"), rig_(&rig), history_(&history) {}
 
    protected:
     Task<void> Main() override {
@@ -74,31 +75,28 @@ TEST_P(CrashPointTest, CommittedSurvivesUncommittedDoesNot) {
       while (true) {
         auto txn = co_await client.Begin();
         if (!txn.ok()) continue;
+        const std::size_t h = history_->Begin();
         bool ok = true;
         for (int i = 0; i < 3 && ok; ++i) {
-          ok = (co_await client.Insert(
-                    *txn, static_cast<std::uint32_t>(key % 2), key,
-                    std::vector<std::byte>(256, std::byte{0xD5})))
-                   .ok();
+          const auto file = static_cast<std::uint32_t>(key % 2);
+          std::vector<std::byte> value(256, std::byte{0xD5});
+          history_->Write(h, file, key, value);
+          ok = (co_await client.Insert(*txn, file, key, std::move(value))).ok();
           ++key;
         }
         if (!ok) {
           (void)co_await client.Abort(*txn);
           continue;
         }
-        if ((co_await client.Commit(*txn)).ok()) {
-          for (std::uint64_t k = key - 3; k < key; ++k) {
-            committed_->push_back(k);
-          }
-        }
+        (void)co_await history_->Commit(h, client, *txn);
       }
     }
 
    private:
     workload::Rig* rig_;
-    std::shared_ptr<std::vector<std::uint64_t>> committed_;
+    workload::History* history_;
   };
-  auto& loader = sim.Adopt<Loader>(rig.cluster(), rig, committed);
+  auto& loader = sim.Adopt<Loader>(rig.cluster(), rig, history);
 
   // Crash at the parameterized instant (mid-transaction with high
   // probability), then recover. The application dies with the node; a
@@ -110,48 +108,11 @@ TEST_P(CrashPointTest, CommittedSurvivesUncommittedDoesNot) {
   rig.RestartAfterPowerLoss();
   sim.RunFor(Seconds(30));
 
-  // Verify every acknowledged-committed key.
-  int verified = 0;
-  bool done = false;
-  class Checker : public nsk::NskProcess {
-   public:
-    Checker(nsk::Cluster& cluster, workload::Rig& rig,
-            std::shared_ptr<std::vector<std::uint64_t>> keys, int* verified,
-            bool* done)
-        : NskProcess(cluster, 3, "checker"), rig_(&rig),
-          keys_(std::move(keys)), verified_(verified), done_(done) {}
-
-   protected:
-    Task<void> Main() override {
-      db::TxnClient client(*this, rig_->catalog());
-      auto txn = co_await client.Begin();
-      if (txn.ok()) {
-        for (std::uint64_t k : *keys_) {
-          auto v = co_await client.Read(*txn,
-                                        static_cast<std::uint32_t>(k % 2), k);
-          if (v.ok() && v->size() == 256 && (*v)[0] == std::byte{0xD5}) {
-            ++*verified_;
-          }
-        }
-        (void)co_await client.Commit(*txn);
-      }
-      *done_ = true;
-    }
-
-   private:
-    workload::Rig* rig_;
-    std::shared_ptr<std::vector<std::uint64_t>> keys_;
-    int* verified_;
-    bool* done_;
-  };
-  sim.Adopt<Checker>(rig.cluster(), rig, committed, &verified, &done);
-  sim.RunFor(Seconds(120));
-
-  ASSERT_TRUE(done) << "recovery never became serviceable";
-  EXPECT_EQ(verified, static_cast<int>(committed->size()))
-      << "crash at " << crash_ms << "ms (" << (pm ? "pm" : "disk")
-      << "): committed data lost";
-  EXPECT_GT(committed->size(), 0u) << "workload never got going";
+  for (const std::string& v : history.Check(rig)) {
+    ADD_FAILURE() << "crash at " << crash_ms << "ms (" << (pm ? "pm" : "disk")
+                  << "): " << v;
+  }
+  EXPECT_GT(history.acked(), 0u) << "workload never got going";
 }
 
 INSTANTIATE_TEST_SUITE_P(

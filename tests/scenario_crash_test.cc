@@ -1,26 +1,19 @@
-// Crash sweeps under contended scenario traffic (ISSUE 10 satellite):
-// the Zipfian read/write mix and the multi-tenant fleet run with a
-// FaultPlan installed on the full PM rig, a record pass enumerates the
-// commit/RDMA-ack fault sites the traffic reaches, and sweep passes
-// re-run the identical schedule with a classic crash armed at selected
-// sites — ADP primary kill, TMF primary kill, PMM primary kill, and
-// whole-node power loss.
+// Crash sweeps under contended scenario traffic: the Zipfian read/write
+// mix and the multi-tenant fleet run with a FaultPlan installed on the
+// full PM rig, a record pass enumerates the commit/RDMA-ack fault sites
+// the traffic reaches, and sweep passes re-run the identical schedule
+// with a classic crash armed at selected sites — ADP primary kill, TMF
+// primary kill, PMM primary kill, and whole-node power loss.
 //
 // The invariants asserted at this layer are the client-visible face of
-// I1–I4 (crash_rig.h checks the PM-metadata face at device level):
-//
-//   * acked durability — every transaction whose commit was ACKNOWLEDGED
-//     to the driver must have all its writes readable with the correct
-//     contents after recovery (I4 through the whole stack);
-//   * record-boundary atomicity — a transaction whose commit outcome was
-//     UNKNOWN (errored under the fault) must be all-or-nothing: either
-//     every one of its ledger records is present or none is — no torn
-//     transaction ever becomes visible;
-//   * liveness — after recovery a fresh client can begin, write, commit
-//     and read back (the pair/takeover machinery actually recovered).
-//
-// Any I1/I2/I3 violation underneath surfaces here as lost acked data,
-// a torn transaction, or a dead system — the same teeth, one layer up.
+// I1–I4 (crash_rig.h checks the PM-metadata face at device level): the
+// Zipfian drivers record their ledger writes in a workload::History, and
+// its Check after recovery asserts the three transaction contracts —
+// acked commits durable, definite aborts invisible, in-doubt commits
+// all-or-nothing — plus liveness (a fresh client can begin, write and
+// commit). Any I1/I2/I3 violation underneath surfaces here as lost acked
+// data, a torn transaction, or a dead system — the same teeth, one layer
+// up.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,6 +27,7 @@
 #include "db/txn_client.h"
 #include "sim/fault_plan.h"
 #include "sim/simulation.h"
+#include "workload/history.h"
 #include "workload/rig.h"
 #include "workload/scenario.h"
 
@@ -73,31 +67,16 @@ const char* ActionName(FaultAction a) {
 
 // ---------------------------------------------------------------------------
 // The contended mix driver: Zipfian hot traffic for contention, plus two
-// unique "ledger" records per transaction whose presence/contents after
-// recovery carry the durability and atomicity assertions.
+// unique "ledger" records per transaction, recorded in the history, whose
+// presence/contents after recovery carry the transaction contracts.
 
 constexpr std::uint64_t kLedgerBase = 1u << 20;  // clear of the hot keyspace
 constexpr std::uint64_t kLedgerStride = 1u << 12;
 constexpr std::size_t kLedgerBytes = 64;
 
-struct AckedWrite {
-  std::uint32_t file = 0;
-  std::uint64_t key = 0;
-  std::uint8_t fill = 0;
-};
-
-struct InDoubtTxn {  // commit outcome unknown: must be all-or-nothing
-  std::uint32_t file = 0;
-  std::uint64_t key_a = 0;
-  std::uint64_t key_b = 0;
-  std::uint8_t fill = 0;
-};
-
 struct MixStats {
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
-  std::vector<AckedWrite> acked;
-  std::vector<InDoubtTxn> in_doubt;
 };
 
 struct MixConfig {
@@ -113,10 +92,11 @@ class MixDriver : public nsk::NskProcess {
  public:
   MixDriver(nsk::Cluster& cluster, int cpu, int driver_index,
             const db::Catalog& catalog, const MixConfig& config,
-            const ZipfianGenerator& zipf, sim::Latch& done, MixStats& stats)
+            const ZipfianGenerator& zipf, sim::Latch& done, MixStats& stats,
+            History& history)
       : NskProcess(cluster, cpu, "mix" + std::to_string(driver_index)),
         driver_index_(driver_index), catalog_(&catalog), config_(&config),
-        zipf_(&zipf), done_(&done), stats_(&stats) {}
+        zipf_(&zipf), done_(&done), stats_(&stats), history_(&history) {}
 
  protected:
   Task<void> Main() override {
@@ -150,6 +130,7 @@ class MixDriver : public nsk::NskProcess {
         ++stats_->aborted;
         continue;
       }
+      const std::size_t h = history_->Begin();
       bool failed = false;
       for (const Op& op : hot) {
         if (op.read) {
@@ -167,10 +148,10 @@ class MixDriver : public nsk::NskProcess {
       if (!failed) {
         const std::uint64_t ledger_keys[2] = {base, base + 1};
         for (std::uint64_t k : ledger_keys) {
-          if (!(co_await client.Insert(
-                    *txn, file, k,
-                    std::vector<std::byte>(kLedgerBytes,
-                                           static_cast<std::byte>(fill))))
+          std::vector<std::byte> value(kLedgerBytes,
+                                       static_cast<std::byte>(fill));
+          history_->Write(h, file, k, value);
+          if (!(co_await client.Insert(*txn, file, k, std::move(value)))
                    .ok()) {
             failed = true;
             break;
@@ -182,15 +163,10 @@ class MixDriver : public nsk::NskProcess {
         ++stats_->aborted;
         continue;
       }
-      Status st = co_await client.Commit(*txn);
-      if (st.ok()) {
+      if ((co_await history_->Commit(h, client, *txn)).ok()) {
         ++stats_->committed;
-        stats_->acked.push_back(AckedWrite{file, base, fill});
-        stats_->acked.push_back(AckedWrite{file, base + 1, fill});
       } else {
-        // Outcome unknown: the commit may have landed before the fault.
         ++stats_->aborted;
-        stats_->in_doubt.push_back(InDoubtTxn{file, base, base + 1, fill});
       }
     }
     done_->Arrive();
@@ -203,101 +179,7 @@ class MixDriver : public nsk::NskProcess {
   const ZipfianGenerator* zipf_;
   sim::Latch* done_;
   MixStats* stats_;
-};
-
-// Post-recovery verifier: checks acked durability, in-doubt atomicity,
-// and liveness with a fresh client. Violations are returned as strings
-// so the sweep can attribute them to (action, site).
-class Verifier : public nsk::NskProcess {
- public:
-  Verifier(nsk::Cluster& cluster, int cpu, const db::Catalog& catalog,
-           const std::vector<MixStats>& stats, sim::Latch& done,
-           std::vector<std::string>& violations)
-      : NskProcess(cluster, cpu, "$VERIFY"), catalog_(&catalog),
-        stats_(&stats), done_(&done), violations_(&violations) {}
-
- protected:
-  Task<void> Main() override {
-    db::TxnClient client(*this, *catalog_);
-    // Recovery may still be settling: retry Begin a few times.
-    db::Transaction txn;
-    bool begun = false;
-    for (int attempt = 0; attempt < 10 && !begun; ++attempt) {
-      auto r = co_await client.Begin();
-      if (r.ok()) {
-        txn = std::move(*r);
-        begun = true;
-      } else {
-        co_await Sleep(Seconds(1));
-      }
-    }
-    if (!begun) {
-      violations_->push_back("liveness: Begin never succeeded after recovery");
-      done_->Arrive();
-      co_return;
-    }
-    for (const MixStats& d : *stats_) {
-      for (const AckedWrite& w : d.acked) {
-        auto v = co_await client.Read(txn, w.file, w.key);
-        if (!v.ok()) {
-          violations_->push_back(
-              "acked write lost: file " + std::to_string(w.file) + " key " +
-              std::to_string(w.key) + ": " + v.status().ToString());
-          continue;
-        }
-        if (v->size() != kLedgerBytes ||
-            (*v)[0] != static_cast<std::byte>(w.fill)) {
-          violations_->push_back("acked write corrupt: file " +
-                                 std::to_string(w.file) + " key " +
-                                 std::to_string(w.key));
-        }
-      }
-      for (const InDoubtTxn& t : d.in_doubt) {
-        auto a = co_await client.Read(txn, t.file, t.key_a);
-        auto b = co_await client.Read(txn, t.file, t.key_b);
-        const bool a_found = a.ok();
-        const bool b_found = b.ok();
-        if (a_found != b_found) {
-          violations_->push_back(
-              "torn transaction: in-doubt keys " + std::to_string(t.key_a) +
-              "/" + std::to_string(t.key_b) + " partially visible");
-          continue;
-        }
-        if (a_found && ((*a)[0] != static_cast<std::byte>(t.fill) ||
-                        (*b)[0] != static_cast<std::byte>(t.fill))) {
-          violations_->push_back("in-doubt txn visible with wrong contents: " +
-                                 std::to_string(t.key_a));
-        }
-      }
-    }
-    Status st = co_await client.Commit(txn);
-    if (!st.ok()) {
-      violations_->push_back("liveness: verify commit failed: " +
-                             st.ToString());
-    }
-    // Liveness: a fresh write transaction must commit and read back.
-    auto fresh = co_await client.Begin();
-    if (!fresh.ok()) {
-      violations_->push_back("liveness: post-verify Begin failed");
-    } else {
-      Status ist = co_await client.Insert(
-          *fresh, 0, kLedgerBase - 1,
-          std::vector<std::byte>(kLedgerBytes, std::byte{0x5A}));
-      Status cst = ist;
-      if (ist.ok()) cst = co_await client.Commit(*fresh);
-      if (!cst.ok()) {
-        violations_->push_back("liveness: post-recovery commit failed: " +
-                               cst.ToString());
-      }
-    }
-    done_->Arrive();
-  }
-
- private:
-  const db::Catalog* catalog_;
-  const std::vector<MixStats>* stats_;
-  sim::Latch* done_;
-  std::vector<std::string>* violations_;
+  History* history_;
 };
 
 // ---------------------------------------------------------------------------
@@ -351,12 +233,13 @@ SweepRun RunZipfianMixUnderFault(std::uint64_t seed, FaultAction action,
     MixConfig cfg;
     const ZipfianGenerator zipf(cfg.hot_keys, cfg.theta);
     std::vector<MixStats> stats(static_cast<std::size_t>(cfg.drivers));
+    History history;
     sim::Latch done(sim, cfg.drivers);
     std::vector<MixDriver*> drivers;
     for (int d = 0; d < cfg.drivers; ++d) {
       drivers.push_back(&sim.Adopt<MixDriver>(
           rig.cluster(), d % rig.config().num_cpus, d, rig.catalog(), cfg,
-          zipf, done, stats[static_cast<std::size_t>(d)]));
+          zipf, done, stats[static_cast<std::size_t>(d)], history));
     }
     // Arm after bring-up: the swept sites all lie past the bring-up
     // prefix, and arming here lets the callback capture the driver list.
@@ -365,7 +248,7 @@ SweepRun RunZipfianMixUnderFault(std::uint64_t seed, FaultAction action,
         if (action == FaultAction::kPowerLoss) {
           // The drivers share the node: power loss takes them down too
           // (property_test's contract — "the application dies with the
-          // node"). Their acked lists stay valid up to the kill.
+          // node"). The history keeps what they recorded up to the kill.
           for (MixDriver* d : drivers) d->Kill();
         }
         FireAction(rig, action);
@@ -381,14 +264,8 @@ SweepRun RunZipfianMixUnderFault(std::uint64_t seed, FaultAction action,
     // Let takeover/redo finish before verifying.
     sim.RunFor(Seconds(25));
 
-    sim::Latch verified(sim, 1);
-    sim.Adopt<Verifier>(rig.cluster(), 3, rig.catalog(), stats, verified,
-                        out.violations);
-    for (int spin = 0; spin < 10 && verified.count() > 0; ++spin) {
-      sim.RunFor(Seconds(60));
-    }
-    if (verified.count() > 0) {
-      out.violations.push_back("verifier stalled");
+    for (std::string& v : history.Check(rig)) {
+      out.violations.push_back(std::move(v));
     }
     for (const MixStats& d : stats) {
       out.committed += d.committed;
@@ -527,15 +404,10 @@ SweepRun RunTenantsUnderFault(std::uint64_t seed, FaultAction action,
     }
     sim.RunFor(Seconds(25));
 
-    // Liveness probe shares the Verifier with an empty acked set.
-    std::vector<MixStats> no_ledger;
-    sim::Latch verified(sim, 1);
-    sim.Adopt<Verifier>(rig.cluster(), 3, rig.catalog(), no_ledger, verified,
-                        out.violations);
-    for (int spin = 0; spin < 10 && verified.count() > 0; ++spin) {
-      sim.RunFor(Seconds(60));
+    // Liveness probe: the check of an empty history.
+    for (std::string& v : History{}.Check(rig)) {
+      out.violations.push_back(std::move(v));
     }
-    if (verified.count() > 0) out.violations.push_back("verifier stalled");
   }
   sim.set_fault_plan(nullptr);
   out.trace = plan.trace();

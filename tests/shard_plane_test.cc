@@ -133,18 +133,7 @@ TEST(ShardMapPlacement, GrowthMovesOnlyWinnersOfTheNewShard) {
 
 // ---------------------------------------------- multi-log crash recovery
 
-class TestProcess : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(TestProcess&)>;
-  TestProcess(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using TestProcess = nsk::AppProcess;
 
 // One framed audit record big enough that an 8-record flush stripes
 // across all four streams (cuts need >= kMinStripeBytes per stripe).

@@ -11,6 +11,7 @@
 #include "db/txn_client.h"
 #include "sim/simulation.h"
 #include "tp/kinds.h"
+#include "workload/history.h"
 #include "workload/hot_stock.h"
 #include "workload/rig.h"
 
@@ -25,18 +26,7 @@ using sim::Seconds;
 using sim::SimTime;
 using sim::Task;
 
-class App : public nsk::NskProcess {
- public:
-  using Body = std::function<Task<void>(App&)>;
-  App(nsk::Cluster& cluster, int cpu, std::string name, Body body)
-      : NskProcess(cluster, cpu, std::move(name)), body_(std::move(body)) {}
-
- protected:
-  Task<void> Main() override { return body_(*this); }
-
- private:
-  Body body_;
-};
+using App = nsk::AppProcess;
 
 std::vector<std::byte> Value(std::uint8_t v, std::size_t n = 128) {
   return std::vector<std::byte>(n, static_cast<std::byte>(v));
@@ -218,32 +208,26 @@ TEST_F(SystemTest, DiskCommitIsMillisecondsPmCommitIsSubMillisecond) {
 
 TEST_F(SystemTest, AdpFailoverLosesNoCommittedData) {
   Start(PmRig());
+  History history;
   RunApp([&](App& self) -> Task<void> {
     TxnClient client(self, rig->catalog());
     // Commit a batch, kill an ADP primary mid-run, keep committing.
     for (int round = 0; round < 3; ++round) {
       auto txn = co_await client.Begin();
       EXPECT_TRUE(txn.ok());
+      const std::size_t h = history.Begin();
       for (int i = 0; i < 4; ++i) {
-        EXPECT_TRUE((co_await client.Insert(
-                         *txn, 0,
-                         static_cast<std::uint64_t>(round * 10 + i),
-                         Value(static_cast<std::uint8_t>(round + 1))))
-                        .ok());
+        const auto key = static_cast<std::uint64_t>(round * 10 + i);
+        const auto value = Value(static_cast<std::uint8_t>(round + 1));
+        history.Write(h, 0, key, value);
+        EXPECT_TRUE((co_await client.Insert(*txn, 0, key, value)).ok());
       }
-      EXPECT_TRUE((co_await client.Commit(*txn)).ok());
+      EXPECT_TRUE((co_await history.Commit(h, client, *txn)).ok());
       if (round == 0) rig->KillAdpPrimary(0);
     }
-    // Everything committed must read back.
-    auto check = co_await client.Begin();
-    for (int round = 0; round < 3; ++round) {
-      auto v = co_await client.Read(*check,
-                                    0, static_cast<std::uint64_t>(round * 10));
-      EXPECT_TRUE(v.ok()) << "round " << round << ": "
-                          << v.status().ToString();
-    }
-    EXPECT_TRUE((co_await client.Commit(*check)).ok());
   });
+  // Everything committed must read back.
+  for (const std::string& v : history.Check(*rig)) ADD_FAILURE() << v;
 }
 
 TEST_F(SystemTest, TmfFailoverServiceContinues) {
@@ -264,74 +248,22 @@ TEST_F(SystemTest, TmfFailoverServiceContinues) {
 
 // ------------------------------------------------------------- durability
 
-TEST_F(SystemTest, PowerLossKeepsCommittedDropsUncommittedPm) {
-  Start(PmRig());
-  // Phase 1: one committed txn, one left in flight.
-  RunApp([&](App& self) -> Task<void> {
-    TxnClient client(self, rig->catalog());
-    auto committed = co_await client.Begin();
-    EXPECT_TRUE((co_await client.Insert(*committed, 0, 500, Value(0xC0))).ok());
-    EXPECT_TRUE((co_await client.Commit(*committed)).ok());
-    auto in_flight = co_await client.Begin();
-    EXPECT_TRUE((co_await client.Insert(*in_flight, 0, 600, Value(0xBD))).ok());
-    // ... no commit: power fails now.
-  });
-  rig->PowerLoss();
-  sim->RunFor(Seconds(1));
-  rig->RestartAfterPowerLoss();
-  sim->RunFor(Seconds(20));
-
-  RunApp([&](App& self) -> Task<void> {
-    TxnClient client(self, rig->catalog());
-    auto check = co_await client.Begin();
-    EXPECT_TRUE(check.ok()) << check.status().ToString();
-    auto v = co_await client.Read(*check, 0, 500);
-    EXPECT_TRUE(v.ok()) << "committed data lost: " << v.status().ToString();
-    if (v.ok()) {
-      EXPECT_EQ((*v)[0], std::byte{0xC0});
-    }
-    auto missing = co_await client.Read(*check, 0, 600);
-    EXPECT_EQ(missing.status().code(), ErrorCode::kNotFound)
-        << "uncommitted data must not survive";
-    EXPECT_TRUE((co_await client.Commit(*check)).ok());
-  }, /*cpu=*/3);
-}
-
-TEST_F(SystemTest, PowerLossKeepsCommittedDropsUncommittedDisk) {
-  Start(DiskRig());
-  RunApp([&](App& self) -> Task<void> {
-    TxnClient client(self, rig->catalog());
-    auto committed = co_await client.Begin();
-    EXPECT_TRUE((co_await client.Insert(*committed, 0, 500, Value(0xC0))).ok());
-    EXPECT_TRUE((co_await client.Commit(*committed)).ok());
-    auto in_flight = co_await client.Begin();
-    EXPECT_TRUE((co_await client.Insert(*in_flight, 0, 600, Value(0xBD))).ok());
-  });
-  rig->PowerLoss();
-  sim->RunFor(Seconds(1));
-  rig->RestartAfterPowerLoss();
-  sim->RunFor(Seconds(30));
-
-  RunApp([&](App& self) -> Task<void> {
-    TxnClient client(self, rig->catalog());
-    auto check = co_await client.Begin();
-    EXPECT_TRUE(check.ok());
-    auto v = co_await client.Read(*check, 0, 500);
-    EXPECT_TRUE(v.ok()) << "committed data lost: " << v.status().ToString();
-    auto missing = co_await client.Read(*check, 0, 600);
-    EXPECT_EQ(missing.status().code(), ErrorCode::kNotFound);
-    EXPECT_TRUE((co_await client.Commit(*check)).ok());
-  }, /*cpu=*/3);
-}
-
-// ----------------------------------------- crash inside the flush window
-
 // A DP2 writes committed records to its data volume only every
 // flush_interval (250 ms). A crash inside that window must lose no acked
 // commit: recovery redoes them from the durable trail, read off the log
-// device. Each row commits kAcked transactions with one more left in
-// flight, then crashes in the same sim instant the last commit acks.
-enum class TrailRig { kDisk, kPm, kPmTwoShards };
+// device. A crash after the flush is the volume-baseline case. Each row
+// leaves one transaction in flight, aborts one, commits kAcked more and
+// crashes either in the same sim instant the last commit acks or once the
+// flush has landed; the history then checks every key.
+enum class TrailRig : std::uint16_t { kDisk, kPm, kPmTwoShards };
+enum class CrashPoint : std::uint16_t { kInFlushWindow, kAfterFlush };
+
+// gtest names a row by its bytes: an in-window row prints exactly as its
+// rig alone, so those ctest names stay put.
+struct FlushRow {
+  TrailRig rig;
+  CrashPoint crash;
+};
 
 RigConfig MakeTrailRig(TrailRig kind) {
   if (kind == TrailRig::kDisk) return DiskRig();
@@ -341,9 +273,10 @@ RigConfig MakeTrailRig(TrailRig kind) {
 }
 
 struct FlushWindowCrash : SystemTest,
-                          ::testing::WithParamInterface<TrailRig> {
+                          ::testing::WithParamInterface<FlushRow> {
   static constexpr int kAcked = 6;
   static constexpr std::uint64_t kInFlightKey = 600;
+  static constexpr std::uint64_t kAbortedKey = 650;
 
   static std::uint32_t FileOf(int i) {
     return static_cast<std::uint32_t>(i % 2);
@@ -352,79 +285,82 @@ struct FlushWindowCrash : SystemTest,
     return 700 + static_cast<std::uint64_t>(i);
   }
 
-  // Leaves one transaction in flight, commits kAcked more, and calls
-  // `crash` the instant the last commit acks.
-  void CommitThenCrash(std::function<void()> crash) {
+  // Leaves one transaction in flight, aborts one (its update and abort
+  // record ride the next commit's flush), commits kAcked more, and calls
+  // `crash` at the row's crash point.
+  void CommitThenCrash(const std::function<void()>& crash) {
+    const bool in_window = GetParam().crash == CrashPoint::kInFlushWindow;
+    auto flushed = [&] {
+      std::uint64_t bytes = 0;
+      for (auto* v : rig->data_volumes()) bytes += v->bytes_written();
+      return bytes;
+    };
     RunApp([&](App& self) -> Task<void> {
       TxnClient client(self, rig->catalog());
       auto in_flight = co_await client.Begin();
+      history.Write(history.Begin(), 0, kInFlightKey, Value(0xBD));
       EXPECT_TRUE((co_await client.Insert(*in_flight, 0, kInFlightKey,
                                           Value(0xBD)))
                       .ok());
+      auto aborted = co_await client.Begin();
+      history.Write(history.Begin(), 1, kAbortedKey, Value(0xAB));
+      EXPECT_TRUE(
+          (co_await client.Insert(*aborted, 1, kAbortedKey, Value(0xAB))).ok());
+      EXPECT_TRUE((co_await client.Abort(*aborted)).ok());
       for (int i = 0; i < kAcked; ++i) {
         auto txn = co_await client.Begin();
-        EXPECT_TRUE((co_await client.Insert(
-                         *txn, FileOf(i), KeyOf(i),
-                         Value(static_cast<std::uint8_t>(i + 1))))
-                        .ok());
-        EXPECT_TRUE((co_await client.Commit(*txn)).ok());
+        const std::size_t h = history.Begin();
+        const auto value = Value(static_cast<std::uint8_t>(i + 1));
+        history.Write(h, FileOf(i), KeyOf(i), value);
+        EXPECT_TRUE(
+            (co_await client.Insert(*txn, FileOf(i), KeyOf(i), value)).ok());
+        EXPECT_TRUE((co_await history.Commit(h, client, *txn)).ok());
       }
-      std::uint64_t flushed = 0;
-      for (auto* v : rig->data_volumes()) flushed += v->bytes_written();
-      EXPECT_EQ(flushed, 0u) << "the crash must land inside the flush window";
-      crash();
+      if (in_window) {
+        EXPECT_EQ(flushed(), 0u)
+            << "the crash must land inside the flush window";
+        crash();
+      }
     });
+    if (!in_window) {
+      EXPECT_GT(flushed(), 0u) << "the crash must land after the flush";
+      // Crash from an app, as in the window, so the victims have unwound
+      // before a test restarts them.
+      RunApp([&](App&) -> Task<void> {
+        crash();
+        co_return;
+      });
+    }
   }
 
-  // Reads back every acked key served by `dp2_service` (every DP2 when
-  // empty) and the in-flight key, which must not exist.
-  void ExpectAckedOnly(const std::string& dp2_service = "") {
-    RunApp([&](App& self) -> Task<void> {
-      TxnClient client(self, rig->catalog());
-      auto check = co_await client.Begin();
-      EXPECT_TRUE(check.ok()) << check.status().ToString();
-      int read = 0;
-      for (int i = 0; i < kAcked; ++i) {
-        if (!dp2_service.empty() &&
-            rig->catalog().Route(FileOf(i), KeyOf(i)).dp2_service !=
-                dp2_service) {
-          continue;
-        }
-        ++read;
-        auto v = co_await client.Read(*check, FileOf(i), KeyOf(i));
-        EXPECT_TRUE(v.ok()) << "acked txn " << i << " lost: "
-                            << v.status().ToString();
-        if (v.ok()) {
-          EXPECT_EQ((*v)[0], static_cast<std::byte>(i + 1));
-        }
-      }
-      EXPECT_GT(read, 0) << dp2_service << " serves no acked key";
-      if (dp2_service.empty() ||
-          rig->catalog().Route(0, kInFlightKey).dp2_service == dp2_service) {
-        auto missing = co_await client.Read(*check, 0, kInFlightKey);
-        EXPECT_EQ(missing.status().code(), ErrorCode::kNotFound)
-            << "uncommitted data must not survive";
-      }
-      EXPECT_TRUE((co_await client.Commit(*check)).ok());
-    }, /*cpu=*/3);
+  void ExpectHistoryHolds() {
+    for (const std::string& v : history.Check(*rig)) ADD_FAILURE() << v;
   }
+
+  History history;
 };
 
 TEST_P(FlushWindowCrash, PowerLossKeepsEveryAckedCommit) {
-  Start(MakeTrailRig(GetParam()));
+  Start(MakeTrailRig(GetParam().rig));
   CommitThenCrash([&] { rig->PowerLoss(); });
   sim->RunFor(Seconds(1));
   rig->RestartAfterPowerLoss();
   sim->RunFor(Seconds(30));
-  ExpectAckedOnly();
+  ExpectHistoryHolds();
 }
 
 TEST_P(FlushWindowCrash, Dp2PairRestartRedoesFromTheLiveTrail) {
   // The ADPs stay up: the restarted DP2 pair redoes from the trail its
   // ADP reads off the live log device, with no cold recovery.
-  Start(MakeTrailRig(GetParam()));
+  Start(MakeTrailRig(GetParam().rig));
   tp::Dp2Process* primary = rig->dp2s().front();
   auto* backup = primary->peer();
+  int served = 0;
+  for (int i = 0; i < kAcked; ++i) {
+    served += rig->catalog().Route(FileOf(i), KeyOf(i)).dp2_service ==
+              primary->service_name();
+  }
+  EXPECT_GT(served, 0) << primary->service_name() << " serves no acked key";
   CommitThenCrash([&] {
     primary->Kill();
     backup->Kill();
@@ -432,19 +368,27 @@ TEST_P(FlushWindowCrash, Dp2PairRestartRedoesFromTheLiveTrail) {
   primary->Restart();
   backup->Restart();
   sim->RunFor(Seconds(30));
-  ExpectAckedOnly(primary->service_name());
+  ExpectHistoryHolds();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Rigs, FlushWindowCrash,
-    ::testing::Values(TrailRig::kDisk, TrailRig::kPm, TrailRig::kPmTwoShards),
-    [](const ::testing::TestParamInfo<TrailRig>& cell) -> std::string {
-      switch (cell.param) {
-        case TrailRig::kDisk: return "Disk";
-        case TrailRig::kPm: return "Pm";
-        case TrailRig::kPmTwoShards: return "PmTwoShards";
+    ::testing::Values(FlushRow{TrailRig::kDisk, CrashPoint::kInFlushWindow},
+                      FlushRow{TrailRig::kPm, CrashPoint::kInFlushWindow},
+                      FlushRow{TrailRig::kPmTwoShards,
+                               CrashPoint::kInFlushWindow},
+                      FlushRow{TrailRig::kDisk, CrashPoint::kAfterFlush},
+                      FlushRow{TrailRig::kPm, CrashPoint::kAfterFlush},
+                      FlushRow{TrailRig::kPmTwoShards, CrashPoint::kAfterFlush}),
+    [](const ::testing::TestParamInfo<FlushRow>& cell) -> std::string {
+      std::string name;
+      switch (cell.param.rig) {
+        case TrailRig::kDisk: name = "Disk"; break;
+        case TrailRig::kPm: name = "Pm"; break;
+        case TrailRig::kPmTwoShards: name = "PmTwoShards"; break;
       }
-      return "";
+      if (cell.param.crash == CrashPoint::kAfterFlush) name += "AfterFlush";
+      return name;
     });
 
 // ------------------------------------------------------------- hot stock
