@@ -12,6 +12,7 @@
 
 #include "db/catalog.h"
 #include "nsk/process.h"
+#include "tp/kinds.h"
 
 namespace ods::db {
 
@@ -25,7 +26,7 @@ struct Transaction {
 class TxnClient {
  public:
   TxnClient(nsk::NskProcess& host, const Catalog& catalog,
-            std::string tmf_service = "$TMF")
+            std::string tmf_service = tp::kTmfService)
       : host_(&host), catalog_(&catalog),
         tmf_service_(std::move(tmf_service)) {}
 
