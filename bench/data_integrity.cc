@@ -2,14 +2,16 @@
 // corruption ("when ServerNet transfer completes without error, the
 // packet is guaranteed to have arrived in the remote NIC with a correct
 // CRC"), mirrored NPMUs survive device loss, and duplicate-and-compare
-// detects silent corruption of stored data.
+// detects silent corruption of stored data. Exits 1 when a mechanism
+// fails: a corrupted packet slips past the CRC, the device loss loses
+// data, or the scrub misses the injected flip.
 #include <cstdio>
 #include <functional>
 
 #include "bench/bench_util.h"
 #include "pm/client.h"
-#include "pm/manager.h"
 #include "pm/npmu.h"
+#include "pm/plane.h"
 
 using namespace ods;
 using namespace ods::bench;
@@ -21,18 +23,9 @@ using App = nsk::AppProcess;
 
 struct PmRigLite {
   explicit PmRigLite(std::uint64_t seed)
-      : sim(seed), cluster(sim, Cfg()), npmu_a(cluster.fabric(), "npmu-a"),
-        npmu_b(cluster.fabric(), "npmu-b") {
-    auto* p = &sim.AdoptStopped<pm::PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                               pm::PmDevice(npmu_a),
-                                               pm::PmDevice(npmu_b), "$PM1");
-    auto* b = &sim.AdoptStopped<pm::PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                               pm::PmDevice(npmu_a),
-                                               pm::PmDevice(npmu_b), "$PM1");
-    p->SetPeer(b);
-    b->SetPeer(p);
-    p->Start();
-    b->Start();
+      : sim(seed), cluster(sim, Cfg()),
+        plane(cluster, pm::PmDeviceKind::kNpmuPair) {
+    plane.Start();
   }
   ~PmRigLite() { sim.Shutdown(); }
   static nsk::ClusterConfig Cfg() {
@@ -42,13 +35,16 @@ struct PmRigLite {
   }
   sim::Simulation sim;
   nsk::Cluster cluster;
-  pm::Npmu npmu_a, npmu_b;
+  pm::PmPlane plane;
+  pm::Npmu& npmu_a = plane.npmu_a();
+  pm::Npmu& npmu_b = plane.npmu_b();
 };
 
 }  // namespace
 
 int main() {
   std::printf("E10: data-integrity mechanisms\n\n");
+  bool failed = false;
 
   // (a) Link CRC detection under injected packet corruption.
   {
@@ -79,6 +75,7 @@ int main() {
                   static_cast<unsigned long long>(fab.crc_detections()),
                   static_cast<unsigned long long>(fab.packets_corrupted() -
                                                   fab.crc_detections()));
+      failed = failed || fab.crc_detections() != fab.packets_corrupted();
     }
     PrintRule(70);
     std::printf("every corrupted packet is caught by the receiving NIC's "
@@ -109,6 +106,7 @@ int main() {
     std::printf("primary NPMU failed mid-run: %s\n\n",
                 survived ? "no data loss, service continued on mirror"
                          : "DATA LOST");
+    failed = failed || !survived;
   }
 
   // (c) Duplicate-and-compare on stored data (§1.3's D&C approach),
@@ -145,6 +143,7 @@ int main() {
     std::printf("scrubbed %d blocks, injected 1 silent flip, detected %d "
                 "mismatch(es)\n",
                 scrubbed, mismatches_found);
+    failed = failed || scrubbed != 16 || mismatches_found != 1;
   }
-  return 0;
+  return failed ? 1 : 0;
 }

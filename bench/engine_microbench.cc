@@ -46,8 +46,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "nsk/cluster.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/process.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -690,18 +689,8 @@ AppendBenchResult RunPmAppendBench(bool piggyback, int appends,
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
   nsk::Cluster cluster(sim, ccfg);
-  pm::Npmu npmu_a(cluster.fabric(), "npmu-a");
-  pm::Npmu npmu_b(cluster.fabric(), "npmu-b");
-  auto& pmm_p = sim.AdoptStopped<pm::PmManager>(
-      cluster, 0, "$PMM", "$PMM-P", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  auto& pmm_b = sim.AdoptStopped<pm::PmManager>(
-      cluster, 1, "$PMM", "$PMM-B", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  pmm_p.SetPeer(&pmm_b);
-  pmm_b.SetPeer(&pmm_p);
-  pmm_p.Start();
-  pmm_b.Start();
+  pm::PmPlane plane(cluster, pm::PmDeviceKind::kNpmuPair);
+  plane.Start();
 
   AppendBenchResult out;
   sim.Adopt<BenchProcess>(

@@ -12,8 +12,7 @@
 #include "common/trace.h"
 #include "nsk/cluster.h"
 #include "pm/client.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 #include "storage/disk.h"
 #include "tp/log_device.h"
 
@@ -52,18 +51,8 @@ int main() {
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
   nsk::Cluster cluster(sim, ccfg);
-  pm::Npmu npmu_a(cluster.fabric(), "npmu-a");
-  pm::Npmu npmu_b(cluster.fabric(), "npmu-b");
-  auto& pmm_p = sim.AdoptStopped<pm::PmManager>(
-      cluster, 0, "$PMM", "$PMM-P", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  auto& pmm_b = sim.AdoptStopped<pm::PmManager>(
-      cluster, 1, "$PMM", "$PMM-B", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  pmm_p.SetPeer(&pmm_b);
-  pmm_b.SetPeer(&pmm_p);
-  pmm_p.Start();
-  pmm_b.Start();
+  pm::PmPlane plane(cluster, pm::PmDeviceKind::kNpmuPair);
+  plane.Start();
   storage::DiskVolume disk(sim, "d0");
 
   std::vector<Row> rows;
@@ -81,7 +70,7 @@ int main() {
     for (std::uint64_t size : {64ull, 4096ull, 65536ull}) {
       // Raw RDMA write (one NPMU, no mirroring).
       double us = co_await time_op(self, [&]() -> Task<void> {
-        (void)co_await ep.Write(self, npmu_a.id(),
+        (void)co_await ep.Write(self, plane.npmu_a().id(),
                                 region->handle().nva,
                                 std::vector<std::byte>(size, std::byte{1}));
       });

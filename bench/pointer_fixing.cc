@@ -15,8 +15,7 @@
 #include "bench/bench_util.h"
 #include "pm/client.h"
 #include "pm/heap.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 
 using namespace ods;
 using namespace ods::bench;
@@ -47,18 +46,8 @@ int main() {
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
   nsk::Cluster cluster(sim, ccfg);
-  pm::Npmu npmu_a(cluster.fabric(), "npmu-a");
-  pm::Npmu npmu_b(cluster.fabric(), "npmu-b");
-  auto& p = sim.AdoptStopped<pm::PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                            pm::PmDevice(npmu_a),
-                                            pm::PmDevice(npmu_b), "$PM1");
-  auto& b = sim.AdoptStopped<pm::PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                            pm::PmDevice(npmu_a),
-                                            pm::PmDevice(npmu_b), "$PM1");
-  p.SetPeer(&b);
-  b.SetPeer(&p);
-  p.Start();
-  b.Start();
+  pm::PmPlane plane(cluster, pm::PmDeviceKind::kNpmuPair);
+  plane.Start();
 
   double marshal_us = 0, bulk_us = 0, incr_us = 0;
   double unmarshal_us = 0, reload_us = 0;

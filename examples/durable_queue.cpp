@@ -5,12 +5,13 @@
 // says — no orders lost, none double-matched after the durable dequeue.
 #include <cstdio>
 #include <functional>
+#include <set>
+#include <vector>
 
 #include "common/serialize.h"
 #include "nsk/cluster.h"
 #include "pm/client.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 #include "pm/queue.h"
 #include "sim/simulation.h"
 
@@ -30,7 +31,9 @@ std::vector<std::byte> MakeOrder(std::uint64_t id, char side,
   return std::move(s).Take();
 }
 
-void PrintOrder(const std::vector<std::byte>& bytes, const char* prefix) {
+// Prints one order; returns its id.
+std::uint64_t PrintOrder(const std::vector<std::byte>& bytes,
+                         const char* prefix) {
   Deserializer d(bytes);
   std::uint64_t id = 0, qty = 0;
   std::uint8_t side = 0;
@@ -40,6 +43,7 @@ void PrintOrder(const std::vector<std::byte>& bytes, const char* prefix) {
   std::printf("%s order %llu: %c %llu\n", prefix,
               static_cast<unsigned long long>(id), static_cast<char>(side),
               static_cast<unsigned long long>(qty));
+  return id;
 }
 
 }  // namespace
@@ -51,18 +55,8 @@ int main() {
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
   nsk::Cluster cluster(sim, ccfg);
-  pm::Npmu npmu_a(cluster.fabric(), "npmu-a");
-  pm::Npmu npmu_b(cluster.fabric(), "npmu-b");
-  auto& pmm_p = sim.AdoptStopped<pm::PmManager>(
-      cluster, 0, "$PMM", "$PMM-P", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  auto& pmm_b = sim.AdoptStopped<pm::PmManager>(
-      cluster, 1, "$PMM", "$PMM-B", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  pmm_p.SetPeer(&pmm_b);
-  pmm_b.SetPeer(&pmm_p);
-  pmm_p.Start();
-  pmm_b.Start();
+  pm::PmPlane plane(cluster, pm::PmDeviceKind::kNpmuPair);
+  plane.Start();
 
   // A brokerage feed enqueues orders; a matcher consumes two at a time.
   // The matcher crashes mid-stream; its replacement resumes at the
@@ -83,6 +77,7 @@ int main() {
   });
   sim.RunFor(sim::Seconds(1));
 
+  std::vector<std::uint64_t> matched;  // order ids, both matchers
   App* matcher1 = &sim.Adopt<App>(cluster, 3, "matcher-1",
                                   [&](App& self) -> Task<void> {
     pm::PmClient client(self, "$PMM");
@@ -94,7 +89,7 @@ int main() {
     for (int i = 0; i < 3; ++i) {
       auto order = co_await q.Dequeue();
       if (!order.ok()) break;
-      PrintOrder(*order, "  matcher-1 matched");
+      matched.push_back(PrintOrder(*order, "  matcher-1 matched"));
     }
     // ...and then it crashes (kill below), mid-stream.
     co_await self.Sleep(sim::Seconds(3600));
@@ -114,10 +109,11 @@ int main() {
     while (true) {
       auto order = co_await q.Dequeue();
       if (!order.ok()) break;
-      PrintOrder(*order, "  matcher-2 matched");
+      matched.push_back(PrintOrder(*order, "  matcher-2 matched"));
     }
     std::printf("queue drained — every order matched exactly once.\n");
   });
   sim.Run();
-  return 0;
+  const std::set<std::uint64_t> distinct(matched.begin(), matched.end());
+  return matched.size() == 8 && distinct.size() == 8 ? 0 : 1;
 }

@@ -9,8 +9,7 @@
 #include "nsk/cluster.h"
 #include "pm/client.h"
 #include "pm/heap.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 
 using namespace ods;
@@ -38,18 +37,8 @@ int main() {
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
   nsk::Cluster cluster(sim, ccfg);
-  pm::Npmu npmu_a(cluster.fabric(), "npmu-a");
-  pm::Npmu npmu_b(cluster.fabric(), "npmu-b");
-  auto& pmm_p = sim.AdoptStopped<pm::PmManager>(
-      cluster, 0, "$PMM", "$PMM-P", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  auto& pmm_b = sim.AdoptStopped<pm::PmManager>(
-      cluster, 1, "$PMM", "$PMM-B", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  pmm_p.SetPeer(&pmm_b);
-  pmm_b.SetPeer(&pmm_p);
-  pmm_p.Start();
-  pmm_b.Start();
+  pm::PmPlane plane(cluster, pm::PmDeviceKind::kNpmuPair);
+  plane.Start();
 
   // Session 1: build the book and update it.
   sim.Adopt<App>(cluster, 2, "exchange", [&](App& self) -> Task<void> {
@@ -94,6 +83,7 @@ int main() {
   std::printf("\n-- exchange process crashes --\n\n");
 
   // Session 2: a recovery process maps the region and walks the book.
+  int recovered = 0;
   sim.Adopt<App>(cluster, 3, "recovery", [&](App& self) -> Task<void> {
     pm::PmClient client(self, "$PMM");
     auto region = co_await client.Open("orderbook");
@@ -114,8 +104,9 @@ int main() {
                   static_cast<unsigned long long>(o->id), o->side,
                   static_cast<unsigned long long>(o->quantity),
                   static_cast<unsigned long long>(o->price));
+      ++recovered;
     }
   });
   sim.Run();
-  return 0;
+  return recovered == 8 ? 0 : 1;
 }

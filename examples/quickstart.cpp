@@ -11,11 +11,11 @@
 // Build: cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 #include <functional>
+#include <string>
 
 #include "nsk/cluster.h"
 #include "pm/client.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 
 using namespace ods;
@@ -32,21 +32,10 @@ int main() {
   cluster_cfg.num_cpus = 4;
   nsk::Cluster cluster(sim, cluster_cfg);
 
-  // Two hardware NPMUs (mirrored pair) on the fabric.
-  pm::Npmu npmu_a(cluster.fabric(), "npmu-a");
-  pm::Npmu npmu_b(cluster.fabric(), "npmu-b");
-
-  // The PMM process pair that manages them.
-  auto& pmm_p = sim.AdoptStopped<pm::PmManager>(
-      cluster, 0, "$PMM", "$PMM-P", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  auto& pmm_b = sim.AdoptStopped<pm::PmManager>(
-      cluster, 1, "$PMM", "$PMM-B", pm::PmDevice(npmu_a), pm::PmDevice(npmu_b),
-      "$PM1");
-  pmm_p.SetPeer(&pmm_b);
-  pmm_b.SetPeer(&pmm_p);
-  pmm_p.Start();
-  pmm_b.Start();
+  // The persistence plane: a mirrored pair of hardware NPMUs on the
+  // fabric and the PMM process pair that manages them.
+  pm::PmPlane plane(cluster, pm::PmDeviceKind::kNpmuPair);
+  plane.Start();
 
   // Phase 1: create a region and write.
   sim.Adopt<App>(cluster, 2, "writer", [&](App& self) -> Task<void> {
@@ -79,18 +68,15 @@ int main() {
   // Phase 2: power loss. Every process dies; NPMU address translation
   // tables (volatile NIC state) are wiped; NPMU *memory* survives.
   std::printf("\n-- power loss --\n\n");
-  pmm_p.Kill();
-  pmm_b.Kill();
-  npmu_a.PowerFail();
-  npmu_b.PowerFail();
+  plane.PowerLoss();
   sim.RunFor(sim::Seconds(1));
 
   // Phase 3: restart the PMM pair; it recovers the region table from the
   // NPMUs' self-consistent metadata, reprograms the ATTs, and serves.
-  pmm_p.Restart();
-  pmm_b.Restart();
+  plane.RestartAfterPowerLoss();
   sim.RunFor(sim::Seconds(2));
 
+  bool recovered = false;
   sim.Adopt<App>(cluster, 3, "reader", [&](App& self) -> Task<void> {
     pm::PmClient client(self, "$PMM");
     auto region = co_await client.Open("greetings");
@@ -106,9 +92,10 @@ int main() {
     std::string text(reinterpret_cast<const char*>(data->data()),
                      data->size());
     std::printf("recovered after power loss: \"%s\"\n", text.c_str());
+    recovered = text == std::string("hello, durable world", 21);
   });
   sim.Run();
 
   std::printf("\ndone.\n");
-  return 0;
+  return recovered ? 0 : 1;
 }

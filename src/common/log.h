@@ -1,6 +1,6 @@
 // Minimal leveled diagnostic logging. Off by default (benchmarks must be
-// quiet); tests and examples enable it per scope. Not the database audit
-// log — that lives in tp/audit.h.
+// quiet); SetLogLevel turns it on. Not the database audit log — that
+// lives in tp/audit.h.
 #pragma once
 
 #include <cstdarg>
@@ -16,21 +16,6 @@ void SetLogLevel(LogLevel level) noexcept;
 // printf-style; `tag` identifies the subsystem ("pmm", "adp", "net", ...).
 void LogMessage(LogLevel level, std::string_view tag, const char* fmt, ...)
     __attribute__((format(printf, 3, 4)));
-
-// RAII scope that lowers the level (e.g. enable debug in a test body).
-class ScopedLogLevel {
- public:
-  explicit ScopedLogLevel(LogLevel level) noexcept
-      : previous_(GetLogLevel()) {
-    SetLogLevel(level);
-  }
-  ~ScopedLogLevel() { SetLogLevel(previous_); }
-  ScopedLogLevel(const ScopedLogLevel&) = delete;
-  ScopedLogLevel& operator=(const ScopedLogLevel&) = delete;
-
- private:
-  LogLevel previous_;
-};
 
 }  // namespace ods
 

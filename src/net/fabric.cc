@@ -66,11 +66,10 @@ Result<AttWindow*> Endpoint::Translate(EndpointId initiator, std::uint64_t nva,
 
 sim::Future<Status> Endpoint::StartWrite(EndpointId target, std::uint64_t nva,
                                          std::vector<std::byte> data,
-                                         std::uint64_t op_id,
-                                         std::optional<DurabilityMode> mode) {
+                                         std::uint64_t op_id) {
   std::vector<ChainSegment> segments;
   segments.push_back(ChainSegment{nva, std::move(data)});
-  return StartWriteChain(target, std::move(segments), op_id, mode);
+  return StartWriteChain(target, std::move(segments), op_id);
 }
 
 namespace {
@@ -117,13 +116,12 @@ PersistShape ShapeFor(DurabilityMode mode) noexcept {
 
 sim::Future<Status> Endpoint::StartWriteChain(EndpointId target,
                                               std::vector<ChainSegment> segments,
-                                              std::uint64_t op_id,
-                                              std::optional<DurabilityMode> mode) {
+                                              std::uint64_t op_id) {
   sim::Promise<Status> done(fabric_.sim());
   auto fut = done.GetFuture();
   auto& sim = fabric_.sim();
   const FabricConfig& cfg = fabric_.config();
-  const DurabilityMode dmode = mode.value_or(cfg.durability_mode);
+  const DurabilityMode dmode = cfg.durability_mode;
   const bool persist_phase = dmode != DurabilityMode::kPostedWriteOnly;
 
   // Crash-point instrumentation: every write completion — the moment the
@@ -559,10 +557,9 @@ sim::Task<T> RetryPerRail(Fabric& fabric, sim::Process& proc,
 sim::Task<Status> Endpoint::Write(sim::Process& proc, EndpointId target,
                                   std::uint64_t nva,
                                   std::vector<std::byte> data,
-                                  std::uint64_t op_id,
-                                  std::optional<DurabilityMode> mode) {
+                                  std::uint64_t op_id) {
   co_return co_await RetryPerRail<Status>(fabric_, proc, [&] {
-    return StartWrite(target, nva, data, op_id, mode);
+    return StartWrite(target, nva, data, op_id);
   });
 }
 

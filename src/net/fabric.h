@@ -178,16 +178,14 @@ class Endpoint {
   // (0 = untagged); the TP layer threads the committing transaction id
   // down here so one commit's fabric ops can be picked out end to end.
   //
-  // `mode` overrides the fabric-wide durability mode for this op
-  // (nullopt = FabricConfig::durability_mode). Non-posted modes resolve
-  // the future only after the mode's persist primitive completed on the
-  // target — and fail with kDataLoss if the target's staging buffer was
-  // lost in the window between landing and persisting.
+  // The write runs under the fabric's durability mode
+  // (set_durability_mode). Non-posted modes resolve the future only after
+  // the mode's persist primitive completed on the target — and fail with
+  // kDataLoss if the target's staging buffer was lost in the window
+  // between landing and persisting.
   sim::Future<Status> StartWrite(EndpointId target, std::uint64_t nva,
                                  std::vector<std::byte> data,
-                                 std::uint64_t op_id = 0,
-                                 std::optional<DurabilityMode> mode =
-                                     std::nullopt);
+                                 std::uint64_t op_id = 0);
 
   // Begins a chained RDMA write: all segments are posted as ONE fabric
   // operation (a doorbell-batched work-queue chain), so the whole chain
@@ -201,9 +199,7 @@ class Endpoint {
   // chain before anything lands.
   sim::Future<Status> StartWriteChain(EndpointId target,
                                       std::vector<ChainSegment> segments,
-                                      std::uint64_t op_id = 0,
-                                      std::optional<DurabilityMode> mode =
-                                          std::nullopt);
+                                      std::uint64_t op_id = 0);
 
   // Begins an RDMA read of `len` bytes from `target` at `nva`.
   sim::Future<RdmaResult> StartRead(EndpointId target, std::uint64_t nva,
@@ -226,8 +222,7 @@ class Endpoint {
   // Synchronous (fiber-blocking) variants with automatic rail failover.
   sim::Task<Status> Write(sim::Process& proc, EndpointId target,
                           std::uint64_t nva, std::vector<std::byte> data,
-                          std::uint64_t op_id = 0,
-                          std::optional<DurabilityMode> mode = std::nullopt);
+                          std::uint64_t op_id = 0);
   sim::Task<RdmaResult> Read(sim::Process& proc, EndpointId target,
                              std::uint64_t nva, std::uint64_t len,
                              std::uint64_t op_id = 0);
@@ -283,9 +278,9 @@ class Fabric {
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
   [[nodiscard]] const FabricConfig& config() const noexcept { return config_; }
 
-  // Fabric-wide durability mode for writes that don't pass a per-op
-  // override. Settable at runtime so a rig can sweep the modes without
-  // rebuilding the cluster.
+  // The remote-durability mode every write on this fabric runs under.
+  // Settable at runtime so a rig can sweep the modes without rebuilding
+  // the cluster.
   void set_durability_mode(DurabilityMode mode) noexcept {
     config_.durability_mode = mode;
   }

@@ -10,6 +10,13 @@ PairMember::PairMember(Cluster& cluster, int cpu_index,
     : NskProcess(cluster, cpu_index, std::move(member_name)),
       service_name_(std::move(service_name)) {}
 
+void StartPair(PairMember& primary, PairMember& backup) {
+  primary.peer_ = &backup;
+  backup.peer_ = &primary;
+  primary.Start();
+  backup.Start();
+}
+
 sim::Task<void> PairMember::Main() {
   // Members are addressable by their unique name (for pair-internal
   // traffic) in addition to the service name.

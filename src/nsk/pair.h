@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nsk/process.h"
@@ -31,9 +32,6 @@ class PairMember : public NskProcess {
   // both members ("$ADP0") and owned by whichever is primary.
   PairMember(Cluster& cluster, int cpu_index, std::string service_name,
              std::string member_name);
-
-  // Wires the two members together; call once after constructing both.
-  void SetPeer(PairMember* peer) noexcept { peer_ = peer; }
 
   [[nodiscard]] bool is_primary() const noexcept { return primary_; }
   [[nodiscard]] const std::string& service_name() const noexcept {
@@ -95,6 +93,8 @@ class PairMember : public NskProcess {
   }
 
  private:
+  friend void StartPair(PairMember& primary, PairMember& backup);
+
   sim::Task<void> RunPrimary(bool via_takeover);
   sim::Task<void> RunBackup();
   void WatchPeer();
@@ -106,5 +106,26 @@ class PairMember : public NskProcess {
   std::uint64_t checkpoint_bytes_ = 0;
   std::uint64_t checkpoints_sent_ = 0;
 };
+
+// Wires two constructed members as peers and starts them, primary first:
+// the first member to start claims the service name. For pairs whose
+// members are built from different arguments (e.g. each ADP member owns
+// its own log device); otherwise use SpawnPair.
+void StartPair(PairMember& primary, PairMember& backup);
+
+// Adopts "<service>-P" on `primary_cpu` and "<service>-B" on
+// `backup_cpu`, both constructed from `args`, then StartPair()s them.
+// Returns {primary, backup}.
+template <typename P, typename... Args>
+std::pair<P*, P*> SpawnPair(Cluster& cluster, const std::string& service,
+                            int primary_cpu, int backup_cpu,
+                            const Args&... args) {
+  P& primary = cluster.sim().AdoptStopped<P>(cluster, primary_cpu, service,
+                                             service + "-P", args...);
+  P& backup = cluster.sim().AdoptStopped<P>(cluster, backup_cpu, service,
+                                            service + "-B", args...);
+  StartPair(primary, backup);
+  return {&primary, &backup};
+}
 
 }  // namespace ods::nsk

@@ -113,8 +113,7 @@ sim::Simulation* PmRegion::simulation() noexcept {
 }
 
 DurabilityMode PmRegion::EffectiveDurability() const noexcept {
-  if (durability_.has_value()) return *durability_;
-  return host_->cpu().endpoint().fabric().config().durability_mode;
+  return host_->cpu().endpoint().fabric().durability_mode();
 }
 
 Task<bool> PmRegion::ReportDeviceDown(std::uint32_t endpoint) {
@@ -162,11 +161,11 @@ Result<PmRegion::InFlight> PmRegion::Issue(std::vector<ScatterOp> ops,
   w.legs.reserve(chains.size());
   for (std::vector<net::ChainSegment>& chain : chains) {
     MirrorLegs l{ep.StartWriteChain(net::EndpointId{handle_.primary_endpoint},
-                                    chain, op_id, durability_),
+                                    chain, op_id),
                  std::nullopt};
     if (handle_.mirror_up) {
       l.mirror = ep.StartWriteChain(net::EndpointId{handle_.mirror_endpoint},
-                                    std::move(chain), op_id, durability_);
+                                    std::move(chain), op_id);
     }
     w.legs.push_back(std::move(l));
   }

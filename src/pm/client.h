@@ -133,19 +133,8 @@ class PmRegion {
       std::uint32_t opcode, std::vector<std::byte> request,
       bool mirrored = false, std::uint64_t op_id = 0);
 
-  // ---- durability (common/durability.h) ----
-  //
-  // Per-region override of the fabric-wide durability mode; every write
-  // this region issues carries it down to the persist phase. nullopt
-  // (default) = follow FabricConfig::durability_mode.
-  void set_durability(std::optional<DurabilityMode> mode) noexcept {
-    durability_ = mode;
-  }
-  [[nodiscard]] std::optional<DurabilityMode> durability() const noexcept {
-    return durability_;
-  }
-  // The mode this region's writes actually run under (override or the
-  // fabric default). Only meaningful on a bound region.
+  // The remote-durability mode (common/durability.h) this region's
+  // writes run under: the fabric's. Only meaningful on a bound region.
   [[nodiscard]] DurabilityMode EffectiveDurability() const noexcept;
 
   // Simulation of the bound host (nullptr when unbound) — lets the write
@@ -228,7 +217,6 @@ class PmRegion {
   nsk::NskProcess* host_ = nullptr;
   RegionHandle handle_;
   std::string owner_service_;
-  std::optional<DurabilityMode> durability_;
   std::shared_ptr<sim::SimMutex> reporting_;  // held by ReportDeviceDown
 };
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <utility>
 
 #include "common/log.h"
 #include "sim/simulation.h"
@@ -52,10 +53,12 @@ void Process::OnFiberExit() {
     auto watchers = std::move(death_watchers_);
     death_watchers_.clear();
     for (auto& fn : watchers) fn();
+    if (std::exchange(restart_pending_, false)) Restart();
   }
 }
 
 void Process::Kill() {
+  restart_pending_ = false;
   if (!alive_) return;
   alive_ = false;
   ++epoch_;
@@ -84,8 +87,13 @@ void Process::Kill() {
 }
 
 void Process::Restart() {
-  assert(live_fibers_ == 0 && "cannot restart while fibers are unwinding");
-  assert(!alive_);
+  if (alive_) return;  // running, or already restarted
+  if (live_fibers_ > 0) {
+    // The killed incarnation is still unwinding and its fibers still
+    // touch members: OnRestart and the new Main wait for the last exit.
+    restart_pending_ = true;
+    return;
+  }
   OnRestart();  // process memory does not survive a restart
   alive_ = true;
   ++epoch_;

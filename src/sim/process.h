@@ -41,7 +41,10 @@ class Process {
   void Kill();
 
   // Restores a killed (or exited) process to runnable and starts Main()
-  // again — models replacing/restarting a process on a CPU.
+  // again — models replacing/restarting a process on a CPU. Issued while
+  // the killed incarnation's fibers still unwind (e.g. in the same
+  // instant as the Kill), it takes effect when the last of them exits; a
+  // Kill before then cancels it.
   void Restart();
 
   [[nodiscard]] bool alive() const noexcept { return alive_; }
@@ -104,6 +107,7 @@ class Process {
   std::string name_;
   bool alive_ = false;
   bool started_ = false;
+  bool restart_pending_ = false;  // Restart() waits for the unwind
   int live_fibers_ = 0;
   std::uint64_t epoch_ = 0;  // incremented on Kill/Restart
   std::vector<WaitRef> waits_;

@@ -130,21 +130,4 @@ sim::Task<Result<std::vector<std::byte>>> DiskVolume::Read(sim::Process& proc,
   co_return co_await StartRead(offset, len).Wait(proc);
 }
 
-sim::Task<Status> MirroredVolume::Write(sim::Process& proc,
-                                        std::uint64_t offset,
-                                        std::vector<std::byte> data) {
-  // Both writes proceed in parallel; durability requires both acks.
-  auto f1 = primary_.StartWrite(offset, data);
-  auto f2 = mirror_.StartWrite(offset, std::move(data));
-  Status s1 = co_await f1.Wait(proc);
-  Status s2 = co_await f2.Wait(proc);
-  if (!s1.ok()) co_return s1;
-  co_return s2;
-}
-
-sim::Task<Result<std::vector<std::byte>>> MirroredVolume::Read(
-    sim::Process& proc, std::uint64_t offset, std::uint64_t len) {
-  co_return co_await primary_.StartRead(offset, len).Wait(proc);
-}
-
 }  // namespace ods::storage

@@ -118,22 +118,4 @@ class DiskVolume {
   sim::SimDuration busy_{0};
 };
 
-// A mirrored pair of volumes (NSK mirrors every data volume): writes go
-// to both, reads are served by the first healthy mirror.
-class MirroredVolume {
- public:
-  MirroredVolume(DiskVolume& primary, DiskVolume& mirror) noexcept
-      : primary_(primary), mirror_(mirror) {}
-
-  sim::Task<Status> Write(sim::Process& proc, std::uint64_t offset,
-                          std::vector<std::byte> data);
-  sim::Task<Result<std::vector<std::byte>>> Read(sim::Process& proc,
-                                                 std::uint64_t offset,
-                                                 std::uint64_t len);
-
- private:
-  DiskVolume& primary_;
-  DiskVolume& mirror_;
-};
-
 }  // namespace ods::storage

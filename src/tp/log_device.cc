@@ -194,13 +194,11 @@ Task<Result<std::vector<std::byte>>> DiskLogDevice::ReadLog(
 Task<Status> PmLogStream::Open(nsk::NskProcess& host,
                                const std::string& pmm_service,
                                const std::string& name,
-                               std::uint64_t ring_bytes,
-                               std::optional<DurabilityMode> durability) {
+                               std::uint64_t ring_bytes) {
   pm::PmClient client(host, pmm_service);
   auto region = co_await client.Create(name, kDataBase + ring_bytes);
   if (!region.ok()) co_return region.status();
   region_ = std::move(*region);
-  region_->set_durability(durability);
   pipeline_.emplace(*region_);
   ring_bytes_ = ring_bytes;
   piggybacked_ = &host.sim().metrics().GetCounter("pm.log.piggybacked");
@@ -243,8 +241,7 @@ Task<Status> PmLogStream::Commit(std::uint64_t ring_pos,
 
 Task<Status> PmLogDevice::Open(nsk::NskProcess& host) {
   co_return co_await stream_.Open(host, config_.pmm_service,
-                                  config_.region_name, config_.region_bytes,
-                                  config_.durability);
+                                  config_.region_name, config_.region_bytes);
 }
 
 Task<Status> PmLogDevice::Append(nsk::NskProcess& host,
@@ -438,8 +435,7 @@ Task<Status> ShardedPmLogDevice::Open(nsk::NskProcess& host) {
     ShardStream& st = streams[s];
     auto status = co_await st.log.Open(
         host, config_.map.ServiceForShard(static_cast<int>(s)),
-        config_.region_prefix + std::to_string(s), config_.region_bytes,
-        config_.durability);
+        config_.region_prefix + std::to_string(s), config_.region_bytes);
     if (!status.ok()) co_return status;
     // Restore the stream's committed state from its control block — this
     // is what lets a promoted backup keep appending without a scan.

@@ -185,11 +185,9 @@ class PmLogStream {
   PmLogStream& operator=(const PmLogStream&) = delete;
 
   // Creates (or re-attaches) region `name` on `pmm_service` with a data
-  // ring of `ring_bytes`, sets its durability mode (nullopt = the
-  // fabric-wide mode) and attaches the write pipeline.
+  // ring of `ring_bytes` and attaches the write pipeline.
   sim::Task<Status> Open(nsk::NskProcess& host, const std::string& pmm_service,
-                         const std::string& name, std::uint64_t ring_bytes,
-                         std::optional<DurabilityMode> durability);
+                         const std::string& name, std::uint64_t ring_bytes);
 
   // Durably writes `data` at ring position `ring_pos` (taken modulo the
   // ring), then `control` at offset 0; returns once both are durable.
@@ -223,9 +221,6 @@ struct PmLogConfig {
   // of two). Off = the seed's serialized data-then-control path, kept as
   // an ablation knob.
   bool piggyback_control = true;
-  // Per-log override of the fabric-wide remote-durability mode
-  // (common/durability.h); nullopt = FabricConfig::durability_mode.
-  std::optional<DurabilityMode> durability;
   // Active-NPMU offload: cold recovery via a device-side VerifyScan
   // command instead of shipping the log image, compaction via a single
   // CompactTo command, and replay_source() advertised so DP2s can
@@ -296,9 +291,6 @@ struct ShardedPmLogConfig {
   pm::ShardMap map;            // shard count + service naming
   std::string region_prefix;   // stream k's region is prefix + k
   std::uint64_t region_bytes = 48ull << 20;  // per stream
-  // Per-log override of the fabric-wide remote-durability mode, applied
-  // to every stream region (nullopt = FabricConfig::durability_mode).
-  std::optional<DurabilityMode> durability;
   // Active-NPMU offload: recover each stream's frame table with a
   // device-side stripe VerifyScan (headers only — stripe payloads never
   // cross the fabric) instead of reading every stream in full.

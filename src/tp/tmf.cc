@@ -16,6 +16,11 @@ using sim::Task;
 
 namespace {
 
+// CPU charged per commit request before the commit protocol starts.
+constexpr sim::SimDuration kCommitCpu = sim::Microseconds(30);
+// Size of the PM region holding the TCB trail (pm_tcb).
+constexpr std::uint64_t kTcbRegionBytes = 4 << 20;
+
 // TCB log entries (both the backup checkpoint and the PM TCB trail use
 // the same encoding): [txn u64][state u32].
 std::vector<std::byte> EncodeTransition(std::uint64_t txn, TxnState state) {
@@ -73,8 +78,8 @@ TmfProcess::TmfProcess(nsk::Cluster& cluster, int cpu_index,
   if (config_.pm_tcb) {
     PmLogConfig log_cfg;
     log_cfg.pmm_service = config_.pmm_service;
-    log_cfg.region_name = config_.tcb_region;
-    log_cfg.region_bytes = config_.tcb_region_bytes;
+    log_cfg.region_name = kTmfTcbRegion;
+    log_cfg.region_bytes = kTcbRegionBytes;
     tcb_log_ = std::make_unique<PmLogDevice>(log_cfg);
   }
 }
@@ -166,14 +171,13 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
     tr->AsyncBegin(TraceLane::kTmf, "txn.commit", sim().Now().ns, txn, "adps",
                    adps.size());
   }
-  co_await Compute(config_.commit_cpu);
+  co_await Compute(kCommitCpu);
   (void)co_await NoteState(txn, TxnState::kCommitting);
 
   // The commit point: every involved audit trail durable, plus the
   // master audit trail (TMF's own outcome record lives there even when
   // no participant logs to it — scan-based state recovery reads it).
-  if (!config_.master_adp.empty() &&
-      std::find(adps.begin(), adps.end(), config_.master_adp) == adps.end()) {
+  if (std::find(adps.begin(), adps.end(), config_.master_adp) == adps.end()) {
     adps.push_back(config_.master_adp);
   }
   const sim::SimTime flush_start = sim().Now();
@@ -220,8 +224,7 @@ Task<void> TmfProcess::HandleAbort(Request& req) {
   (void)co_await NoteState(txn, TxnState::kAborted);
   // Abort record in every participating trail plus the master (recovery
   // must see the outcome wherever it replays from).
-  if (!config_.master_adp.empty() &&
-      std::find(adps.begin(), adps.end(), config_.master_adp) == adps.end()) {
+  if (std::find(adps.begin(), adps.end(), config_.master_adp) == adps.end()) {
     adps.push_back(config_.master_adp);
   }
   for (const std::string& adp : adps) {
@@ -299,7 +302,7 @@ Task<void> TmfProcess::OnBecomePrimary(bool via_takeover) {
         }
         state_valid_ = true;
       }
-    } else if (!config_.master_adp.empty()) {
+    } else {
       // Scan-based recovery: walk the master audit trail for outcome
       // records ("costly heuristic searching").
       auto log = co_await Call(config_.master_adp, kAdpReadLog, {});
@@ -319,8 +322,6 @@ Task<void> TmfProcess::OnBecomePrimary(bool via_takeover) {
                  name().c_str());
       }
       state_valid_ = true;
-    } else {
-      state_valid_ = true;  // nothing to recover from
     }
   }
   (void)via_takeover;

@@ -37,16 +37,16 @@ enum class TxnState : std::uint32_t {
   kAborted = 4,
 };
 
+// The PM region holding the TCB trail when `pm_tcb` is on.
+inline constexpr char kTmfTcbRegion[] = "tmf-tcb";
+
 struct TmfConfig {
   // Synchronously persist TCB transitions to persistent memory.
   bool pm_tcb = false;
-  std::string pmm_service = "$PMM";
-  std::string tcb_region = "tmf-tcb";
-  std::uint64_t tcb_region_bytes = 4 << 20;
-  // Master audit trail (first ADP) used for scan-based state recovery
-  // when pm_tcb is off; empty disables recovery scanning.
+  std::string pmm_service = "$PMM";  // owner of kTmfTcbRegion
+  // Master audit trail (first ADP): every outcome record lands there,
+  // and scan-based state recovery reads it when pm_tcb is off.
   std::string master_adp;
-  sim::SimDuration commit_cpu = sim::Microseconds(30);
   sim::SimDuration resolve_timeout = sim::Milliseconds(500);
 };
 

@@ -17,6 +17,7 @@
 #include "pm/metadata.h"
 #include "pm/npmu.h"
 #include "pm/offload.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 #include "tp/audit.h"
 
@@ -84,10 +85,11 @@ struct RegionTruth {
 struct CrashRig {
   sim::Simulation sim;
   nsk::Cluster cluster;
-  pm::Npmu npmu_a;
-  pm::Npmu npmu_b;
-  pm::PmManager* pmm_p;
-  pm::PmManager* pmm_b;
+  pm::PmPlane plane;
+  pm::Npmu& npmu_a = plane.npmu_a();
+  pm::Npmu& npmu_b = plane.npmu_b();
+  pm::PmManager* pmm_p = plane.pmm();
+  pm::PmManager* pmm_b = plane.pmm_backup();
   sim::FaultPlan plan;
   // Bounded span ring: always on, so any invariant violation comes with
   // the tail of the run's fabric/PMM activity for post-mortem.
@@ -136,24 +138,14 @@ struct CrashRig {
 
   CrashRig(std::uint64_t seed, CrashMode m, const DurabilityOptions& dur)
       : sim(seed), cluster(sim, MakeConfig()),
-        npmu_a(cluster.fabric(), "npmu-a", MakeNpmuConfig(dur)),
-        npmu_b(cluster.fabric(), "npmu-b", MakeNpmuConfig(dur)),
+        plane(cluster, pm::PmDeviceKind::kNpmuPair, 1, MakeNpmuConfig(dur)),
         mode(m), offload(dur.offload) {
     cluster.fabric().set_durability_mode(dur.mode);
-    pmm_p = &sim.AdoptStopped<pm::PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                             pm::PmDevice(npmu_a),
-                                             pm::PmDevice(npmu_b), "$PM1");
-    pmm_b = &sim.AdoptStopped<pm::PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                             pm::PmDevice(npmu_a),
-                                             pm::PmDevice(npmu_b), "$PM1");
-    pmm_p->SetPeer(pmm_b);
-    pmm_b->SetPeer(pmm_p);
     plan.SetObserver([this](const FaultSite& s) { Observe(s); });
     sim.set_fault_plan(&plan);
     tracer.Enable(/*capacity=*/8192);
     sim.set_tracer(&tracer);
-    pmm_p->Start();
-    pmm_b->Start();
+    plane.Start();
   }
 
   ~CrashRig() {
@@ -297,10 +289,7 @@ struct CrashRig {
         // Same event; with the staging model armed (kVolatileBufferLoss),
         // PowerFail additionally drops everything still parked in the
         // NIC/PCIe staging buffers — only drained bytes survive.
-        pmm_p->Kill();
-        pmm_b->Kill();
-        npmu_a.PowerFail();
-        npmu_b.PowerFail();
+        plane.PowerLoss();
         sim.After(Seconds(1), [this] {
           if (!pmm_p->alive()) pmm_p->Restart();
         });

@@ -40,20 +40,6 @@ Rig::~Rig() {
   sim_.Shutdown();
 }
 
-template <typename P, typename... Args>
-std::pair<P*, P*> Rig::SpawnPair(const std::string& service, int primary_cpu,
-                                 int backup_cpu, Args&&... args) {
-  P& primary = sim_.AdoptStopped<P>(*cluster_, primary_cpu, service,
-                                    service + "-P", args...);
-  P& backup = sim_.AdoptStopped<P>(*cluster_, backup_cpu, service,
-                                   service + "-B", args...);
-  primary.SetPeer(&backup);
-  backup.SetPeer(&primary);
-  primary.Start();
-  backup.Start();
-  return {&primary, &backup};
-}
-
 void Rig::BuildDisks() {
   const int n_parts = config_.num_files * config_.partitions_per_file;
   data_volumes_.reserve(static_cast<std::size_t>(n_parts));
@@ -71,53 +57,19 @@ void Rig::BuildDisks() {
 }
 
 void Rig::BuildPm() {
-  if (config_.pm_device == PmDeviceKind::kNone) return;
-  const int n_shards = config_.num_pm_shards;
-  shard_map_ = pm::ShardMap("$PMM", n_shards);
-  // Size each shard's devices to hold one log stream per ADP plus the
-  // TMF TCB region with headroom (region alignment + metadata).
-  const std::uint64_t needed =
-      static_cast<std::uint64_t>(config_.num_adps) *
-          (config_.pm_log_region_bytes + 4096) +
-      (8ull << 20);
-  config_.npmu.capacity_bytes = std::max(config_.npmu.capacity_bytes, needed);
-  if (config_.pm_device == PmDeviceKind::kPmp) {
-    // The paper's prototype: a single PMP on its own CPU, one region per
-    // ADP, no mirroring (always single-shard).
-    pmp_ = &sim_.AdoptStopped<pm::Pmp>(*cluster_, config_.num_cpus, "$PMP",
-                                       config_.npmu);
-    pmp_->Start();
-    PmShard shard;
-    auto [p, b] = SpawnPair<pm::PmManager>("$PMM", 0, 1, pm::PmDevice(*pmp_),
-                                           pm::PmDevice(*pmp_), "$PM1");
-    shard.pmm_primary = p;
-    shard.pmm_backup = b;
-    pm_shards_.push_back(std::move(shard));
-    return;
+  if (config_.pm_device != PmDeviceKind::kNone) {
+    // Size each shard's devices to hold one log stream per ADP plus the
+    // TMF TCB region with headroom (region alignment + metadata).
+    const std::uint64_t needed =
+        static_cast<std::uint64_t>(config_.num_adps) *
+            (config_.pm_log_region_bytes + 4096) +
+        (8ull << 20);
+    config_.npmu.capacity_bytes =
+        std::max(config_.npmu.capacity_bytes, needed);
   }
-  pm_shards_.reserve(static_cast<std::size_t>(n_shards));
-  for (int s = 0; s < n_shards; ++s) {
-    // The 1-shard config keeps the legacy names ("npmu-a", "$PMM",
-    // "$PM1") and the legacy 0/1 CPU placement, so endpoint ids, spawn
-    // order and golden traces are untouched.
-    const std::string suffix = n_shards == 1 ? "" : std::to_string(s);
-    PmShard shard;
-    shard.npmu_a = std::make_unique<pm::Npmu>(cluster_->fabric(),
-                                              "npmu-a" + suffix, config_.npmu);
-    shard.npmu_b = std::make_unique<pm::Npmu>(cluster_->fabric(),
-                                              "npmu-b" + suffix, config_.npmu);
-    const int pcpu = (2 * s) % config_.num_cpus;
-    const int bcpu = (2 * s + 1) % config_.num_cpus;
-    auto [p, b] = SpawnPair<pm::PmManager>(
-        shard_map_.ServiceForShard(s), pcpu, bcpu, pm::PmDevice(*shard.npmu_a),
-        pm::PmDevice(*shard.npmu_b),
-        n_shards == 1 ? std::string("$PM1") : "$PM1-" + std::to_string(s),
-        pm::ShardIdentity{static_cast<std::uint32_t>(s),
-                          static_cast<std::uint32_t>(n_shards)});
-    shard.pmm_primary = p;
-    shard.pmm_backup = b;
-    pm_shards_.push_back(std::move(shard));
-  }
+  pm_ = std::make_unique<pm::PmPlane>(*cluster_, config_.pm_device,
+                                      config_.num_pm_shards, config_.npmu);
+  pm_->Start();
 }
 
 void Rig::BuildAdps() {
@@ -134,7 +86,7 @@ void Rig::BuildAdps() {
         // Multi-log mode: one stream per shard, placed pinned (stream k
         // on shard k's pair), merged at recovery.
         tp::ShardedPmLogConfig sh_cfg;
-        sh_cfg.map = shard_map_;
+        sh_cfg.map = pm_->shard_map();
         sh_cfg.region_prefix = "audit-" + service + "-s";
         sh_cfg.region_bytes = config_.pm_log_region_bytes;
         sh_cfg.offload = config_.pm_offload;
@@ -151,10 +103,7 @@ void Rig::BuildAdps() {
         *cluster_, cpu, service, service + "-P", make_device());
     tp::AdpProcess& backup = sim_.AdoptStopped<tp::AdpProcess>(
         *cluster_, backup_cpu, service, service + "-B", make_device());
-    primary.SetPeer(&backup);
-    backup.SetPeer(&primary);
-    primary.Start();
-    backup.Start();
+    nsk::StartPair(primary, backup);
     adp_primaries_.push_back(&primary);
     adp_backups_.push_back(&backup);
   }
@@ -168,10 +117,10 @@ void Rig::BuildTmf() {
   if (tmf_cfg.pm_tcb && config_.num_pm_shards > 1) {
     // The TCB region is placed like any other region: wherever the
     // shard map routes its name.
-    tmf_cfg.pmm_service = shard_map_.ServiceFor(tmf_cfg.tcb_region);
+    tmf_cfg.pmm_service = pm_->shard_map().ServiceFor(tp::kTmfTcbRegion);
   }
-  auto [p, b] = SpawnPair<tp::TmfProcess>(tp::kTmfService, 0,
-                                          1 % config_.num_cpus, tmf_cfg);
+  auto [p, b] = nsk::SpawnPair<tp::TmfProcess>(
+      *cluster_, tp::kTmfService, 0, 1 % config_.num_cpus, tmf_cfg);
   tmf_primary_ = p;
   tmf_backup_ = b;
 }
@@ -191,8 +140,8 @@ void Rig::BuildDp2s() {
       dp2_cfg.partition = static_cast<std::uint32_t>(part);
       dp2_cfg.partitions_per_file =
           static_cast<std::uint32_t>(config_.partitions_per_file);
-      auto [p, b] = SpawnPair<tp::Dp2Process>(
-          service, cpu, (cpu + 1) % config_.num_cpus, dp2_cfg);
+      auto [p, b] = nsk::SpawnPair<tp::Dp2Process>(
+          *cluster_, service, cpu, (cpu + 1) % config_.num_cpus, dp2_cfg);
       dp2_primaries_.push_back(p);
       dp2_backups_.push_back(b);
       catalog_.SetRoute(f, part, db::PartitionRoute{service, adp});
@@ -221,9 +170,7 @@ void Rig::KillAdpPrimary(int index) {
 void Rig::KillTmfPrimary() { tmf_primary_->Kill(); }
 
 void Rig::KillPmmPrimary(int shard) {
-  if (shard < 0 || shard >= num_pm_shards()) return;
-  auto* p = pm_shards_[static_cast<std::size_t>(shard)].pmm_primary;
-  if (p != nullptr) p->Kill();
+  if (shard >= 0 && shard < num_pm_shards()) pm_->pmm(shard)->Kill();
 }
 
 void Rig::PowerLoss() {
@@ -236,28 +183,16 @@ void Rig::PowerLoss() {
   for (auto* p : adp_backups_) kill(p);
   kill(tmf_primary_);
   kill(tmf_backup_);
-  for (auto& shard : pm_shards_) {
-    kill(shard.pmm_primary);
-    kill(shard.pmm_backup);
-  }
-  kill(pmp_);
+  pm_->PowerLoss();
   for (auto& v : data_volumes_) v->PowerFail();
   for (auto& v : audit_volumes_) v->PowerFail();
-  for (auto& shard : pm_shards_) {
-    if (shard.npmu_a) shard.npmu_a->PowerFail();
-    if (shard.npmu_b) shard.npmu_b->PowerFail();
-  }
 }
 
 void Rig::RestartAfterPowerLoss() {
   auto restart = [](auto* p) {
     if (p != nullptr && !p->alive()) p->Restart();
   };
-  restart(pmp_);
-  for (auto& shard : pm_shards_) {
-    restart(shard.pmm_primary);
-    restart(shard.pmm_backup);
-  }
+  pm_->RestartAfterPowerLoss();
   for (auto* p : adp_primaries_) restart(p);
   for (auto* p : adp_backups_) restart(p);
   restart(tmf_primary_);
@@ -272,11 +207,7 @@ Rig::PersistenceAccounting Rig::Account() const {
   for (const auto& v : audit_volumes_) {
     acct.disk_bytes_written += v->bytes_written();
   }
-  for (const auto& shard : pm_shards_) {
-    if (shard.npmu_a) acct.pm_bytes_written += shard.npmu_a->bytes_persisted();
-    if (shard.npmu_b) acct.pm_bytes_written += shard.npmu_b->bytes_persisted();
-  }
-  if (pmp_ != nullptr) acct.pm_bytes_written += pmp_->bytes_persisted();
+  acct.pm_bytes_written = pm_->bytes_persisted();
   auto add_pair = [&](const nsk::PairMember* m) {
     if (m == nullptr) return;
     acct.checkpoint_bytes += m->checkpoint_bytes();
@@ -288,9 +219,9 @@ Rig::PersistenceAccounting Rig::Account() const {
   for (auto* p : adp_backups_) add_pair(p);
   add_pair(tmf_primary_);
   add_pair(tmf_backup_);
-  for (const auto& shard : pm_shards_) {
-    add_pair(shard.pmm_primary);
-    add_pair(shard.pmm_backup);
+  for (int s = 0; s < pm_->num_shards(); ++s) {
+    add_pair(pm_->pmm(s));
+    add_pair(pm_->pmm_backup(s));
   }
   acct.audit_flushes = sim_.metrics().CounterValue("adp.flushes");
   acct.audit_bytes = sim_.metrics().CounterValue("adp.flushed_bytes");

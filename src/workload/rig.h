@@ -24,6 +24,7 @@
 #include "nsk/cluster.h"
 #include "pm/manager.h"
 #include "pm/npmu.h"
+#include "pm/plane.h"
 #include "pm/shard_map.h"
 #include "sim/simulation.h"
 #include "storage/disk.h"
@@ -34,11 +35,7 @@
 
 namespace ods::workload {
 
-enum class PmDeviceKind {
-  kNone,      // disk-only baseline
-  kNpmuPair,  // mirrored hardware NPMUs
-  kPmp,       // the paper's prototype: one PMP process on an extra CPU
-};
+using PmDeviceKind = pm::PmDeviceKind;
 
 struct RigConfig {
   int num_cpus = 4;  // application CPUs (PMP gets its own extra CPU)
@@ -103,17 +100,15 @@ class Rig {
   [[nodiscard]] std::vector<tp::Dp2Process*>& dp2s() noexcept {
     return dp2_primaries_;
   }
-  [[nodiscard]] pm::PmManager* pmm() noexcept {
-    return pm_shards_.empty() ? nullptr : pm_shards_.front().pmm_primary;
+  [[nodiscard]] pm::PmManager* pmm() {
+    return pm_->num_shards() == 0 ? nullptr : pm_->pmm();
   }
-  [[nodiscard]] pm::PmManager* pmm(int shard) noexcept {
-    return pm_shards_.at(static_cast<std::size_t>(shard)).pmm_primary;
-  }
+  [[nodiscard]] pm::PmManager* pmm(int shard) { return pm_->pmm(shard); }
   [[nodiscard]] int num_pm_shards() const noexcept {
-    return static_cast<int>(pm_shards_.size());
+    return pm_->num_shards();
   }
   [[nodiscard]] const pm::ShardMap& shard_map() const noexcept {
-    return shard_map_;
+    return pm_->shard_map();
   }
   [[nodiscard]] std::vector<storage::DiskVolume*> data_volumes() noexcept;
   [[nodiscard]] std::vector<storage::DiskVolume*> audit_volumes() noexcept;
@@ -145,29 +140,14 @@ class Rig {
   void BuildTmf();
   void BuildDp2s();
 
-  template <typename P, typename... Args>
-  std::pair<P*, P*> SpawnPair(const std::string& service, int primary_cpu,
-                              int backup_cpu, Args&&... args);
-
   sim::Simulation& sim_;
   RigConfig config_;
   std::unique_ptr<nsk::Cluster> cluster_;
   db::Catalog catalog_;
 
-  // One persistence shard: a PMM pair and the mirrored NPMU pair it
-  // owns. The single-shard config is pm_shards_[0] with legacy names.
-  struct PmShard {
-    std::unique_ptr<pm::Npmu> npmu_a;
-    std::unique_ptr<pm::Npmu> npmu_b;
-    pm::PmManager* pmm_primary = nullptr;
-    pm::PmManager* pmm_backup = nullptr;
-  };
-
   std::vector<std::unique_ptr<storage::DiskVolume>> data_volumes_;
   std::vector<std::unique_ptr<storage::DiskVolume>> audit_volumes_;
-  std::vector<PmShard> pm_shards_;
-  pm::ShardMap shard_map_;
-  pm::Pmp* pmp_ = nullptr;
+  std::unique_ptr<pm::PmPlane> pm_;
 
   tp::TmfProcess* tmf_primary_ = nullptr;
   tp::TmfProcess* tmf_backup_ = nullptr;

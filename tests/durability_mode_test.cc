@@ -24,8 +24,8 @@
 #include "common/durability.h"
 #include "net/fabric.h"
 #include "nsk/cluster.h"
-#include "pm/manager.h"
 #include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/fault_plan.h"
 #include "sim/process.h"
 #include "sim/simulation.h"
@@ -146,10 +146,9 @@ TEST_F(StagingFixture, StagedBufferNeverSurvivesCrash) {
 // same crash loses nothing.
 TEST_F(StagingFixture, PersistedWriteSurvivesCrash) {
   const auto pattern = MakePattern(256, 9);
+  fabric.set_durability_mode(DurabilityMode::kNativeFlush);
   sim.Spawn<LambdaProcess>("h", [&](LambdaProcess& self) -> Task<void> {
-    Status st = co_await host.Write(self, npmu.id(), pm::kDataBase, pattern,
-                                    /*op_id=*/0,
-                                    DurabilityMode::kNativeFlush);
+    Status st = co_await host.Write(self, npmu.id(), pm::kDataBase, pattern);
     EXPECT_TRUE(st.ok());
   });
   sim.Run();
@@ -170,9 +169,9 @@ TEST_F(StagingFixture, PersistedWriteSurvivesCrash) {
 TEST_F(StagingFixture, MidFlightLossFailsTheWriteInsteadOfAcking) {
   const auto pattern = MakePattern(512, 3);
   Status result = OkStatus();
+  fabric.set_durability_mode(DurabilityMode::kDeviceAck);
   sim.Spawn<LambdaProcess>("h", [&](LambdaProcess& self) -> Task<void> {
-    auto fut = host.StartWrite(npmu.id(), pm::kDataBase, pattern,
-                               /*op_id=*/0, DurabilityMode::kDeviceAck);
+    auto fut = host.StartWrite(npmu.id(), pm::kDataBase, pattern);
     // Wait for the payload to land (stage), then lose the buffer before
     // the device-ack persist round trip completes.
     while (npmu.staged_bytes() == 0) {
@@ -210,10 +209,10 @@ TEST(DurabilityModeTest, PersistPrimitiveLatencyOrdering) {
   sim.Spawn<LambdaProcess>("h", [&](LambdaProcess& self) -> Task<void> {
     const auto modes = AllDurabilityModes();
     for (std::size_t i = 0; i < modes.size(); ++i) {
+      fabric.set_durability_mode(modes[i]);
       const sim::SimTime t0 = self.sim().Now();
       Status st = co_await host.Write(self, dev.id(), 0x1000,
-                                      MakePattern(4096), /*op_id=*/0,
-                                      modes[i]);
+                                      MakePattern(4096));
       EXPECT_TRUE(st.ok());
       us[i] = sim::ToMicrosD(self.sim().Now() - t0);
     }
@@ -249,18 +248,8 @@ LogCrashOutcome RunLogCrashScenario(
 
   pm::NpmuConfig ncfg;
   ncfg.volatile_staging = true;
-  pm::Npmu npmu_a(cluster.fabric(), "npmu-a", ncfg);
-  pm::Npmu npmu_b(cluster.fabric(), "npmu-b", ncfg);
-  auto* p = &sim.AdoptStopped<pm::PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                             pm::PmDevice(npmu_a),
-                                             pm::PmDevice(npmu_b), "$PM1");
-  auto* b = &sim.AdoptStopped<pm::PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                             pm::PmDevice(npmu_a),
-                                             pm::PmDevice(npmu_b), "$PM1");
-  p->SetPeer(b);
-  b->SetPeer(p);
-  p->Start();
-  b->Start();
+  pm::PmPlane plane(cluster, pm::PmDeviceKind::kNpmuPair, 1, ncfg);
+  plane.Start();
 
   // Count data-area RDMA acks (metadata commits stay below kDataBase);
   // the crash fires synchronously at the m-th one, losing whatever is
@@ -273,8 +262,8 @@ LogCrashOutcome RunLogCrashScenario(
     if (crash_ack_index.has_value() && out.data_acks == *crash_ack_index &&
         !fired) {
       fired = true;
-      npmu_a.LoseStaged();
-      npmu_b.LoseStaged();
+      plane.npmu_a().LoseStaged();
+      plane.npmu_b().LoseStaged();
     }
     ++out.data_acks;
   });

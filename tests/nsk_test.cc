@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/serialize.h"
@@ -231,12 +232,7 @@ class CounterPair : public PairMember {
 
 struct PairFixture : ClusterFixture {
   PairFixture() {
-    primary = &sim.AdoptStopped<CounterPair>(cluster, 0, "$ctr", "$ctr-P");
-    backup = &sim.AdoptStopped<CounterPair>(cluster, 1, "$ctr", "$ctr-B");
-    primary->SetPeer(backup);
-    backup->SetPeer(primary);
-    primary->Start();
-    backup->Start();
+    std::tie(primary, backup) = SpawnPair<CounterPair>(cluster, "$ctr", 0, 1);
   }
 
   CounterPair* primary;

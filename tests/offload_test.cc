@@ -25,9 +25,9 @@
 #include "db/txn_client.h"
 #include "nsk/cluster.h"
 #include "pm/client.h"
-#include "pm/manager.h"
 #include "pm/npmu.h"
 #include "pm/offload.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 #include "storage/disk.h"
 #include "tp/audit.h"
@@ -263,18 +263,8 @@ TEST_F(DiskScanTest, TornFrameAtChunkEdgeTruncatesToValidPrefix) {
 struct DeviceRig {
   explicit DeviceRig(bool active, std::uint64_t seed = 13)
       : sim(seed), cluster(sim, ClusterCfg()),
-        npmu_a(cluster.fabric(), "npmu-a", NpmuCfg(active)),
-        npmu_b(cluster.fabric(), "npmu-b", NpmuCfg(active)) {
-    pmm_p = &sim.AdoptStopped<pm::PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                             pm::PmDevice(npmu_a),
-                                             pm::PmDevice(npmu_b), "$PM1");
-    pmm_b = &sim.AdoptStopped<pm::PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                             pm::PmDevice(npmu_a),
-                                             pm::PmDevice(npmu_b), "$PM1");
-    pmm_p->SetPeer(pmm_b);
-    pmm_b->SetPeer(pmm_p);
-    pmm_p->Start();
-    pmm_b->Start();
+        plane(cluster, pm::PmDeviceKind::kNpmuPair, 1, NpmuCfg(active)) {
+    plane.Start();
   }
   ~DeviceRig() { sim.Shutdown(); }
 
@@ -302,10 +292,7 @@ struct DeviceRig {
 
   sim::Simulation sim;
   nsk::Cluster cluster;
-  pm::Npmu npmu_a;
-  pm::Npmu npmu_b;
-  pm::PmManager* pmm_p;
-  pm::PmManager* pmm_b;
+  pm::PmPlane plane;
   int app_seq_ = 0;
 };
 

@@ -28,8 +28,7 @@
 #include "net/fabric.h"
 #include "nsk/cluster.h"
 #include "pm/client.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 #include "tp/log_device.h"
 
@@ -80,18 +79,8 @@ std::vector<std::byte> Fill(std::size_t n, std::uint8_t v) {
 struct PipelineStatsFixture : ::testing::Test {
   PipelineStatsFixture()
       : sim(23), cluster(sim, MakeConfig()),
-        npmu_a(cluster.fabric(), "npmu-a"),
-        npmu_b(cluster.fabric(), "npmu-b") {
-    auto& pmm_p = sim.AdoptStopped<pm::PmManager>(
-        cluster, 0, "$PMM", "$PMM-P", pm::PmDevice(npmu_a),
-        pm::PmDevice(npmu_b), "$PM1");
-    auto& pmm_b = sim.AdoptStopped<pm::PmManager>(
-        cluster, 1, "$PMM", "$PMM-B", pm::PmDevice(npmu_a),
-        pm::PmDevice(npmu_b), "$PM1");
-    pmm_p.SetPeer(&pmm_b);
-    pmm_b.SetPeer(&pmm_p);
-    pmm_p.Start();
-    pmm_b.Start();
+        plane(cluster, pm::PmDeviceKind::kNpmuPair) {
+    plane.Start();
   }
 
   ~PipelineStatsFixture() override { sim.Shutdown(); }
@@ -104,8 +93,7 @@ struct PipelineStatsFixture : ::testing::Test {
 
   sim::Simulation sim;
   nsk::Cluster cluster;
-  pm::Npmu npmu_a;
-  pm::Npmu npmu_b;
+  pm::PmPlane plane;
 };
 
 TEST_F(PipelineStatsFixture, PiggybackedAppendsMatchFabricPacketCounts) {

@@ -31,6 +31,7 @@
 #include "pm/manager.h"
 #include "pm/metadata.h"
 #include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/fault_plan.h"
 #include "sim/simulation.h"
 
@@ -53,20 +54,9 @@ std::vector<std::byte> Fill(std::size_t n, std::uint8_t v) {
 // interruption sweeps can build a fresh rig per injection label.
 struct Rig {
   explicit Rig(nsk::ClusterConfig cfg = MakeConfig())
-      : sim(11), cluster(sim, cfg),
-        npmu_a(cluster.fabric(), "npmu-a"),
-        npmu_b(cluster.fabric(), "npmu-b") {
-    pmm_p = &sim.AdoptStopped<PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                         PmDevice(npmu_a), PmDevice(npmu_b),
-                                         "$PM1");
-    pmm_b = &sim.AdoptStopped<PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                         PmDevice(npmu_a), PmDevice(npmu_b),
-                                         "$PM1");
-    pmm_p->SetPeer(pmm_b);
-    pmm_b->SetPeer(pmm_p);
+      : sim(11), cluster(sim, cfg), plane(cluster, PmDeviceKind::kNpmuPair) {
     sim.set_fault_plan(&plan);
-    pmm_p->Start();
-    pmm_b->Start();
+    plane.Start();
   }
 
   ~Rig() {
@@ -93,10 +83,11 @@ struct Rig {
 
   sim::Simulation sim;
   nsk::Cluster cluster;
-  Npmu npmu_a;
-  Npmu npmu_b;
-  PmManager* pmm_p;
-  PmManager* pmm_b;
+  PmPlane plane;
+  Npmu& npmu_a = plane.npmu_a();
+  Npmu& npmu_b = plane.npmu_b();
+  PmManager* pmm_p = plane.pmm();
+  PmManager* pmm_b = plane.pmm_backup();
   sim::FaultPlan plan;
 };
 

@@ -10,8 +10,8 @@
 #include "pm/client.h"
 #include "pm/direct.h"
 #include "pm/heap.h"
-#include "pm/manager.h"
 #include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 
 namespace ods::pm {
@@ -31,19 +31,10 @@ struct Order {
 static_assert(std::is_trivially_copyable_v<Order>);
 
 struct HeapFixture : ::testing::Test {
-  HeapFixture() : sim(31), cluster(sim, MakeConfig()),
-                  npmu_a(cluster.fabric(), "npmu-a"),
-                  npmu_b(cluster.fabric(), "npmu-b") {
-    auto* p = &sim.AdoptStopped<PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                           PmDevice(npmu_a), PmDevice(npmu_b),
-                                           "$PM1");
-    auto* b = &sim.AdoptStopped<PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                           PmDevice(npmu_a), PmDevice(npmu_b),
-                                           "$PM1");
-    p->SetPeer(b);
-    b->SetPeer(p);
-    p->Start();
-    b->Start();
+  HeapFixture()
+      : sim(31), cluster(sim, MakeConfig()),
+        plane(cluster, PmDeviceKind::kNpmuPair) {
+    plane.Start();
   }
   ~HeapFixture() override { sim.Shutdown(); }
 
@@ -55,8 +46,9 @@ struct HeapFixture : ::testing::Test {
 
   sim::Simulation sim;
   nsk::Cluster cluster;
-  Npmu npmu_a;
-  Npmu npmu_b;
+  PmPlane plane;
+  Npmu& npmu_a = plane.npmu_a();
+  Npmu& npmu_b = plane.npmu_b();
 };
 
 TEST_F(HeapFixture, AllocateResolveRoundTrip) {

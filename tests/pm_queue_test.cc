@@ -9,8 +9,8 @@
 #include "common/serialize.h"
 #include "nsk/cluster.h"
 #include "pm/client.h"
-#include "pm/manager.h"
 #include "pm/npmu.h"
+#include "pm/plane.h"
 #include "pm/queue.h"
 #include "sim/simulation.h"
 
@@ -39,19 +39,9 @@ std::uint64_t OrderId(const std::vector<std::byte>& bytes) {
 }
 
 struct QueueFixture : ::testing::Test {
-  QueueFixture() : sim(71), cluster(sim, Cfg()),
-                   npmu_a(cluster.fabric(), "npmu-a"),
-                   npmu_b(cluster.fabric(), "npmu-b") {
-    auto* p = &sim.AdoptStopped<PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                           PmDevice(npmu_a), PmDevice(npmu_b),
-                                           "$PM1");
-    auto* b = &sim.AdoptStopped<PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                           PmDevice(npmu_a), PmDevice(npmu_b),
-                                           "$PM1");
-    p->SetPeer(b);
-    b->SetPeer(p);
-    p->Start();
-    b->Start();
+  QueueFixture()
+      : sim(71), cluster(sim, Cfg()), plane(cluster, PmDeviceKind::kNpmuPair) {
+    plane.Start();
   }
   ~QueueFixture() override { sim.Shutdown(); }
 
@@ -63,7 +53,9 @@ struct QueueFixture : ::testing::Test {
 
   sim::Simulation sim;
   nsk::Cluster cluster;
-  Npmu npmu_a, npmu_b;
+  PmPlane plane;
+  Npmu& npmu_a = plane.npmu_a();
+  Npmu& npmu_b = plane.npmu_b();
 };
 
 TEST_F(QueueFixture, FifoOrder) {

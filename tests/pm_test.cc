@@ -19,6 +19,7 @@
 #include "pm/manager.h"
 #include "pm/npmu.h"
 #include "pm/offload.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 
 namespace ods::pm {
@@ -56,18 +57,8 @@ std::size_t ResidentPages(const std::byte* p, std::uint64_t len) {
 struct PmFixture : ::testing::Test {
   explicit PmFixture(NpmuConfig device = {})
       : sim(11), cluster(sim, MakeConfig()),
-        npmu_a(cluster.fabric(), "npmu-a", device),
-        npmu_b(cluster.fabric(), "npmu-b", device) {
-    pmm_p = &sim.AdoptStopped<PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                         PmDevice(npmu_a), PmDevice(npmu_b),
-                                         "$PM1");
-    pmm_b = &sim.AdoptStopped<PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                         PmDevice(npmu_a), PmDevice(npmu_b),
-                                         "$PM1");
-    pmm_p->SetPeer(pmm_b);
-    pmm_b->SetPeer(pmm_p);
-    pmm_p->Start();
-    pmm_b->Start();
+        plane(cluster, PmDeviceKind::kNpmuPair, 1, device) {
+    plane.Start();
   }
 
   // Unwind all processes while the cluster and devices are still alive.
@@ -81,10 +72,11 @@ struct PmFixture : ::testing::Test {
 
   sim::Simulation sim;
   nsk::Cluster cluster;
-  Npmu npmu_a;
-  Npmu npmu_b;
-  PmManager* pmm_p;
-  PmManager* pmm_b;
+  PmPlane plane;
+  Npmu& npmu_a = plane.npmu_a();
+  Npmu& npmu_b = plane.npmu_b();
+  PmManager* pmm_p = plane.pmm();
+  PmManager* pmm_b = plane.pmm_backup();
 };
 
 // ------------------------------------------------------- region lifecycle
@@ -480,21 +472,12 @@ TEST_F(PmFixture, PmRecoveryIsFast) {
 // ----------------------------------------------------------- PMP prototype
 
 struct PmpFixture : ::testing::Test {
-  PmpFixture() : sim(13), cluster(sim, MakeConfig()) {
-    // PMP on CPU 4 (the paper ran the PMP on a 5th CPU).
-    pmp = &sim.AdoptStopped<Pmp>(cluster, 4, "$PMP",
-                                 NpmuConfig{.capacity_bytes = 8 << 20});
-    pmp->Start();
-    pmm_p = &sim.AdoptStopped<PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                         PmDevice(*pmp), PmDevice(*pmp),
-                                         "$PM1");
-    pmm_b = &sim.AdoptStopped<PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                         PmDevice(*pmp), PmDevice(*pmp),
-                                         "$PM1");
-    pmm_p->SetPeer(pmm_b);
-    pmm_b->SetPeer(pmm_p);
-    pmm_p->Start();
-    pmm_b->Start();
+  // PMP on CPU 4 (the paper ran the PMP on a 5th CPU).
+  PmpFixture()
+      : sim(13), cluster(sim, MakeConfig()),
+        plane(cluster, PmDeviceKind::kPmp, 1,
+              NpmuConfig{.capacity_bytes = 8 << 20}) {
+    plane.Start();
   }
 
   ~PmpFixture() override { sim.Shutdown(); }
@@ -507,9 +490,10 @@ struct PmpFixture : ::testing::Test {
 
   sim::Simulation sim;
   nsk::Cluster cluster;
-  Pmp* pmp;
-  PmManager* pmm_p;
-  PmManager* pmm_b;
+  PmPlane plane;
+  Pmp* pmp = plane.pmp();
+  PmManager* pmm_p = plane.pmm();
+  PmManager* pmm_b = plane.pmm_backup();
 };
 
 TEST_F(PmpFixture, PmpBehavesLikeNpmuOnTheWire) {

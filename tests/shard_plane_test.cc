@@ -33,8 +33,8 @@
 
 #include "common/metrics.h"
 #include "nsk/cluster.h"
-#include "pm/manager.h"
 #include "pm/npmu.h"
+#include "pm/plane.h"
 #include "pm/shard_map.h"
 #include "sim/fault_plan.h"
 #include "sim/simulation.h"
@@ -197,37 +197,16 @@ TornFlushResult RunTornFlushScenario(std::optional<std::size_t> crash_index,
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
   nsk::Cluster cluster(sim, ccfg);
-  const pm::ShardMap map("$PMM", kShards);
-
   pm::NpmuConfig ncfg;
   ncfg.active_commands = offload;
-  std::vector<std::unique_ptr<pm::Npmu>> npmus;
-  for (int s = 0; s < kShards; ++s) {
-    const std::string suffix = "-s" + std::to_string(s);
-    pm::Npmu& a = *npmus.emplace_back(std::make_unique<pm::Npmu>(
-        cluster.fabric(), "npmu-a" + suffix, ncfg));
-    pm::Npmu& b = *npmus.emplace_back(std::make_unique<pm::Npmu>(
-        cluster.fabric(), "npmu-b" + suffix, ncfg));
-    const std::string service = map.ServiceForShard(s);
-    auto* p = &sim.AdoptStopped<pm::PmManager>(
-        cluster, s % ccfg.num_cpus, service, service + "-P", pm::PmDevice(a),
-        pm::PmDevice(b), "$PM1-" + std::to_string(s),
-        pm::ShardIdentity{static_cast<std::uint32_t>(s), kShards});
-    auto* bk = &sim.AdoptStopped<pm::PmManager>(
-        cluster, (s + 1) % ccfg.num_cpus, service, service + "-B",
-        pm::PmDevice(a), pm::PmDevice(b), "$PM1-" + std::to_string(s),
-        pm::ShardIdentity{static_cast<std::uint32_t>(s), kShards});
-    p->SetPeer(bk);
-    bk->SetPeer(p);
-    p->Start();
-    bk->Start();
-  }
+  pm::PmPlane plane(cluster, pm::PmDeviceKind::kNpmuPair, kShards, ncfg);
+  plane.Start();
 
   sim::FaultPlan plan;
   sim.set_fault_plan(&plan);
 
   tp::ShardedPmLogConfig dcfg;
-  dcfg.map = map;
+  dcfg.map = plane.shard_map();
   dcfg.region_prefix = "audit-T-s";
   dcfg.region_bytes = 2ull << 20;
   dcfg.offload = offload;

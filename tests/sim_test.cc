@@ -219,14 +219,33 @@ TEST(KillTest, DeathWatcherFires) {
 TEST(KillTest, RestartRunsMainAgain) {
   Simulation sim;
   int runs = 0;
+  int unwound = 0;
+  int unwound_at_last_start = 0;
+  struct Unwind {
+    int* n;
+    ~Unwind() { ++*n; }
+  };
   auto& p = sim.Spawn<LambdaProcess>("p", [&](LambdaProcess& self) -> Task<void> {
     ++runs;
+    unwound_at_last_start = unwound;
+    Unwind guard{&unwound};
     co_await self.Sleep(Seconds(100));
   });
   sim.Schedule(SimTime{100}, [&] { p.Kill(); });
   sim.Schedule(SimTime{200}, [&] { p.Restart(); });
   sim.RunUntil(SimTime{1'000'000});
   EXPECT_EQ(runs, 2);
+  EXPECT_TRUE(p.alive());
+
+  // A restart in the same instant as the kill, while the killed fiber
+  // still unwinds, takes effect once it has unwound.
+  sim.Schedule(SimTime{2'000'000}, [&] {
+    p.Kill();
+    p.Restart();
+  });
+  sim.RunUntil(SimTime{3'000'000});
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(unwound_at_last_start, 2) << "Main re-ran before the unwind";
   EXPECT_TRUE(p.alive());
 }
 

@@ -171,18 +171,6 @@ TEST(DiskTest, PowerFailDropsInflightKeepsLanded) {
   EXPECT_EQ(disk.ReadImage(4096 + 512, 1)[0], std::byte{0}) << "in-flight write lost";
 }
 
-TEST(MirroredTest, WriteGoesToBoth) {
-  sim::Simulation sim;
-  DiskVolume a(sim, "a"), b(sim, "b");
-  MirroredVolume mv(a, b);
-  sim.Spawn<LambdaProcess>("p", [&](LambdaProcess& self) -> Task<void> {
-    EXPECT_TRUE((co_await mv.Write(self, 0, Fill(256, 0x7E))).ok());
-  });
-  sim.Run();
-  EXPECT_EQ(a.ReadImage(0, 1)[0], std::byte{0x7E});
-  EXPECT_EQ(b.ReadImage(0, 1)[0], std::byte{0x7E});
-}
-
 // Latency calibration: these values anchor the E2/E4 shape, so pin them.
 TEST(DiskCalibration, FourKRandomWriteAround5to6Ms) {
   sim::Simulation sim;

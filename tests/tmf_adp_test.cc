@@ -14,8 +14,7 @@
 #include "common/serialize.h"
 #include "db/txn_client.h"
 #include "nsk/cluster.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "tp/kinds.h"
@@ -345,23 +344,11 @@ std::vector<std::byte> MakeFrame(std::size_t payload_len, std::uint8_t fill) {
 // A PMM pair over a mirrored NPMU pair, for driving a PmLogDevice on
 // CPUs 2 and 3.
 struct PmLogRig {
-  PmLogRig() {
-    auto& pmm_p = sim.AdoptStopped<pm::PmManager>(
-        cluster, 0, "$PMM", "$PMM-P", pm::PmDevice(npmu_a),
-        pm::PmDevice(npmu_b), "$PM1");
-    auto& pmm_b = sim.AdoptStopped<pm::PmManager>(
-        cluster, 1, "$PMM", "$PMM-B", pm::PmDevice(npmu_a),
-        pm::PmDevice(npmu_b), "$PM1");
-    pmm_p.SetPeer(&pmm_b);
-    pmm_b.SetPeer(&pmm_p);
-    pmm_p.Start();
-    pmm_b.Start();
-  }
+  PmLogRig() { plane.Start(); }
 
   sim::Simulation sim{23};
   nsk::Cluster cluster{sim, nsk::ClusterConfig{}};
-  pm::Npmu npmu_a{cluster.fabric(), "npmu-a"};
-  pm::Npmu npmu_b{cluster.fabric(), "npmu-b"};
+  pm::PmPlane plane{cluster, pm::PmDeviceKind::kNpmuPair};
 };
 
 TEST(PmLogTornWrite, ControlBlockNeverDurableBeforeItsData) {

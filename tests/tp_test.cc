@@ -7,8 +7,7 @@
 
 #include "nsk/cluster.h"
 #include "pm/client.h"
-#include "pm/manager.h"
-#include "pm/npmu.h"
+#include "pm/plane.h"
 #include "sim/simulation.h"
 #include "storage/disk.h"
 #include "tp/audit.h"
@@ -242,23 +241,14 @@ struct LogDeviceFixture : ::testing::Test {
 
   // PM rig on demand.
   void StartPm() {
-    npmu_a = std::make_unique<pm::Npmu>(cluster.fabric(), "npmu-a");
-    npmu_b = std::make_unique<pm::Npmu>(cluster.fabric(), "npmu-b");
-    auto* p = &sim.AdoptStopped<pm::PmManager>(cluster, 0, "$PMM", "$PMM-P",
-                                               pm::PmDevice(*npmu_a),
-                                               pm::PmDevice(*npmu_b), "$PM1");
-    auto* b = &sim.AdoptStopped<pm::PmManager>(cluster, 1, "$PMM", "$PMM-B",
-                                               pm::PmDevice(*npmu_a),
-                                               pm::PmDevice(*npmu_b), "$PM1");
-    p->SetPeer(b);
-    b->SetPeer(p);
-    p->Start();
-    b->Start();
+    plane =
+        std::make_unique<pm::PmPlane>(cluster, pm::PmDeviceKind::kNpmuPair);
+    plane->Start();
   }
 
   sim::Simulation sim;
   nsk::Cluster cluster;
-  std::unique_ptr<pm::Npmu> npmu_a, npmu_b;
+  std::unique_ptr<pm::PmPlane> plane;
 };
 
 std::vector<std::byte> FramedBatch(int n, std::uint64_t first_lsn) {
