@@ -24,8 +24,9 @@
 //    hot-stock run (drivers=8, 2 inserts/txn, PM log on a mirrored NPMU
 //    pair). bench/engine_baseline.json records the same run measured
 //    against the seed engine, interleaved on the same host.
-//  - pm_append_*: SIMULATED latency of the pipelined PM append path
-//    (piggybacked control block vs the seed's serialized writes).
+//  - pm_append_*: SIMULATED latency of a PM log append: the one chained
+//    ring commit (data + control block, "piggyback_on") vs a reference
+//    of the seed's two serialized writes ("piggyback_off").
 //
 // CI's perf-smoke job gates on the self-normalizing speedup ratios
 // (new-vs-legacy inside one binary, same host conditions), not on raw
@@ -37,6 +38,7 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -678,13 +680,18 @@ struct AppendBenchResult {
   std::uint64_t piggybacked = 0;
 };
 
-// Simulated latency of PmLogDevice appends against a mirrored NPMU pair:
-// `batch` records of `record_bytes` per Append call, sequential
-// (each durable before the next starts), with the piggyback ablation
-// knob. piggyback=false reproduces the seed's two serialized RDMA rounds
-// per append.
+// Simulated latency of sequential PM log appends against a mirrored NPMU
+// pair: `batch` records of `record_bytes` per append, each durable before
+// the next starts. With `piggyback` a PmLogDevice commits each append as
+// one chained RDMA op (data + control block). Without it the bench runs
+// its own reference of the seed's two serialized rounds on a bare region
+// of the same layout: PmRegion::Write of the data, then PmRegion::Write
+// of a 16-byte control block. The record sizes divide the ring, so no
+// reference append straddles the ring end.
 AppendBenchResult RunPmAppendBench(bool piggyback, int appends,
                                    std::size_t record_bytes, int batch) {
+  constexpr std::uint64_t kRingBytes = 16ull << 20;
+  constexpr std::uint64_t kDataBase = tp::PmLogStream::kDataBase;
   sim::Simulation sim(7);
   nsk::ClusterConfig ccfg;
   ccfg.num_cpus = 4;
@@ -697,17 +704,32 @@ AppendBenchResult RunPmAppendBench(bool piggyback, int appends,
       cluster, 2, "bench", [&](BenchProcess& self) -> sim::Task<void> {
         tp::PmLogConfig cfg;
         cfg.region_name = "bench-log";
-        cfg.region_bytes = 16ull << 20;
-        cfg.piggyback_control = piggyback;
+        cfg.region_bytes = kRingBytes;
         tp::PmLogDevice dev(cfg);
-        auto open = co_await dev.Open(self);
-        if (!open.ok()) co_return;
-        for (int i = 0; i < appends; ++i) {
+        std::optional<pm::PmRegion> bare;
+        if (piggyback) {
+          if (!(co_await dev.Open(self)).ok()) co_return;
+        } else {
+          pm::PmClient client(self, cfg.pmm_service);
+          auto region =
+              co_await client.Create(cfg.region_name, kDataBase + kRingBytes);
+          if (!region.ok()) co_return;
+          bare = std::move(*region);
+        }
+        const std::uint64_t n =
+            static_cast<std::uint64_t>(batch) * record_bytes;
+        for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(appends);
+             ++i) {
           // One flush: the batch's records back-to-back.
-          std::vector<std::byte> records(
-              static_cast<std::size_t>(batch) * record_bytes, std::byte{1});
+          std::vector<std::byte> records(n, std::byte{1});
           const sim::SimTime t0 = self.sim().Now();
-          (void)co_await dev.Append(self, std::move(records));
+          if (piggyback) {
+            (void)co_await dev.Append(self, std::move(records));
+          } else if ((co_await bare->Write(kDataBase + i * n % kRingBytes,
+                                           std::move(records)))
+                         .ok()) {
+            (void)co_await bare->Write(0, std::vector<std::byte>(16));
+          }
           out.latency.Record(
               static_cast<std::uint64_t>((self.sim().Now() - t0).ns));
         }
@@ -730,7 +752,8 @@ void ReportPmAppend(bench::BenchJson& json, const char* label,
       static_cast<double>(on.latency.Percentile(0.99)) / 1e3,
       static_cast<unsigned long long>(on.piggybacked));
   std::printf(
-      "pm_append %-18s piggyback=off mean=%7.2fus p99=%7.2fus  (seed path)\n",
+      "pm_append %-18s piggyback=off mean=%7.2fus p99=%7.2fus  (reference: "
+      "data, then control)\n",
       label, off.latency.mean() / 1e3,
       static_cast<double>(off.latency.Percentile(0.99)) / 1e3);
   const std::string base = std::string("pm_append_") + label;

@@ -7,6 +7,9 @@
 // (32k) and with 1-2 drivers; declining with more boxcarring (commit cost
 // amortized over more inserts) and more drivers (group commit amortizes
 // the disk flush).
+//
+// Exits 1 unless every PM flush was one chained ring commit (data plus
+// control block), wrapped flushes included.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -70,9 +73,9 @@ int main() {
   std::printf("paper: speedup up to ~3.5x, greatest at 32k with 1-2 "
               "drivers,\ndeclining with larger boxcars and more drivers.\n\n");
 
-  // Pipelined-write-engine accounting for the PM runs: how often the
-  // control block rode the data RDMA, flushes overlapped their backup
-  // checkpoint, and buffer checkpoints were coalesced.
+  // PM write accounting for the PM runs: how often the control block
+  // rode the data RDMA, flushes overlapped their backup checkpoint, and
+  // buffer checkpoints were coalesced.
   std::uint64_t piggybacked = 0, overlapped = 0, coalesced = 0;
   for (int s = 0; s < 3; ++s) {
     for (int d = 1; d <= max_drivers; ++d) {
@@ -101,5 +104,11 @@ int main() {
   json.Set("overlapped_flushes", static_cast<double>(overlapped));
   json.Set("coalesced_checkpoints", static_cast<double>(coalesced));
   json.Write();
+  if (piggybacked != overlapped) {
+    std::printf("FAIL: %llu of %llu flushes were not one chained commit\n",
+                static_cast<unsigned long long>(overlapped - piggybacked),
+                static_cast<unsigned long long>(overlapped));
+    return 1;
+  }
   return 0;
 }

@@ -1,8 +1,9 @@
 // Durable order queue (§2): "Streams of buy and sell orders arrive from
 // brokerage systems and must be queued and matched to generate trades."
-// Orders are durable the instant the enqueue returns (~two RDMA writes),
-// so a crashed matcher process resumes exactly where the durable head
-// says — no orders lost, none double-matched after the durable dequeue.
+// Orders are durable the instant the enqueue returns (one chained RDMA
+// write), so a crashed matcher process resumes exactly where the durable
+// head says — no orders lost, none double-matched after the durable
+// dequeue.
 #include <cstdio>
 #include <functional>
 #include <set>

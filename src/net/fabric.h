@@ -192,8 +192,8 @@ class Endpoint {
   // pays a single software-latency initiation. Segments land strictly in
   // posting order, and a CRC failure in segment k suppresses the rest of
   // k and every later segment — ordered WQEs on one QP flush after an
-  // error. This is the ordering primitive behind control-block
-  // piggybacking in tp/log_device.cc: a trailing tail-pointer segment can
+  // error. This is the ordering primitive behind the PM ring commit
+  // (pm::PmRegion::CommitRing): a trailing tail-pointer segment can
   // never become durable before the data segments it covers. All
   // segments are translated up front; a translation failure fails the
   // chain before anything lands.

@@ -108,10 +108,6 @@ const char* PersistSpanName(DurabilityMode mode) noexcept {
 
 }  // namespace
 
-sim::Simulation* PmRegion::simulation() noexcept {
-  return host_ == nullptr ? nullptr : &host_->sim();
-}
-
 DurabilityMode PmRegion::EffectiveDurability() const noexcept {
   return host_->cpu().endpoint().fabric().durability_mode();
 }
@@ -240,13 +236,6 @@ Task<Status> PmRegion::Complete(InFlight w, const char* span_name,
   co_return st;
 }
 
-PmWriteToken PmRegion::Launch(InFlight w, const char* span_name,
-                              std::uint64_t op_id) {
-  return PmWriteToken(*host_, sim::SpawnTask(*host_, Complete(std::move(w),
-                                                              span_name,
-                                                              op_id)));
-}
-
 namespace {
 
 std::vector<PmRegion::ScatterOp> SingleOp(std::uint64_t offset,
@@ -266,19 +255,34 @@ Task<Status> PmRegion::Write(std::uint64_t offset,
   co_return co_await Complete(std::move(*w), "pm.write", op_id);
 }
 
-PmWriteToken PmRegion::WriteAsync(std::uint64_t offset,
-                                  std::vector<std::byte> data,
-                                  std::uint64_t op_id) {
-  auto w = Issue(SingleOp(offset, std::move(data)), /*chained=*/true, op_id);
-  if (!w.ok()) return PmWriteToken(w.status());
-  return Launch(std::move(*w), "pm.write_async", op_id);
-}
-
 Task<Status> PmRegion::WriteChain(std::vector<ScatterOp> ops,
                                   std::uint64_t op_id) {
   auto w = Issue(std::move(ops), /*chained=*/true, op_id);
   if (!w.ok()) co_return w.status();
-  co_return co_await Launch(std::move(*w), "pm.write_chain", op_id).Wait();
+  co_return co_await sim::SpawnTask(
+      *host_, Complete(std::move(*w), "pm.write_chain", op_id))
+      .Wait(*host_);
+}
+
+Task<Status> PmRegion::CommitRing(std::uint64_t ring_base,
+                                  std::uint64_t ring_bytes, std::uint64_t pos,
+                                  std::vector<std::byte> data,
+                                  std::vector<std::byte> control,
+                                  std::uint64_t op_id) {
+  const std::uint64_t phys = pos % ring_bytes;
+  const std::uint64_t first =
+      std::min<std::uint64_t>(data.size(), ring_bytes - phys);
+  std::vector<ScatterOp> ops;
+  ops.reserve(3);
+  if (first == data.size()) {
+    ops.push_back({ring_base + phys, std::move(data)});
+  } else {
+    const auto cut = data.begin() + static_cast<std::ptrdiff_t>(first);
+    ops.push_back({ring_base + phys, {data.begin(), cut}});
+    ops.push_back({ring_base, {cut, data.end()}});
+  }
+  ops.push_back({0, std::move(control)});
+  co_return co_await WriteChain(std::move(ops), op_id);
 }
 
 Task<Status> PmRegion::WriteScatter(std::vector<ScatterOp> ops,
@@ -289,73 +293,6 @@ Task<Status> PmRegion::WriteScatter(std::vector<ScatterOp> ops,
   Status st = co_await Settle(*w);
   TraceWrite("pm.write_scatter", *w, op_id, "ops", n_ops);
   co_return st;
-}
-
-// ------------------------------------------------------------------ token
-
-Task<Status> PmWriteToken::Wait() {
-  if (!pending_.has_value()) co_return immediate_;
-  co_return co_await pending_->Wait(*proc_);
-}
-
-// --------------------------------------------------------------- pipeline
-
-PmWritePipeline::PmWritePipeline(PmRegion& region) : region_(&region) {
-  MetricsRegistry& m = region.simulation()->metrics();
-  issued_ = &m.GetCounter("pm.pipeline.issued");
-  coalesced_ = &m.GetCounter("pm.pipeline.coalesced");
-  depth_ = &m.GetHistogram("pm.pipeline.depth");
-}
-
-Task<void> PmWritePipeline::IssueStaged() {
-  // Backpressure: at depth, retire the oldest token first. Completion
-  // order is issue order (one ingress link per mirror), so the front
-  // token is the first to resolve.
-  while (inflight_.size() >= kQueueDepth) {
-    PmWriteToken oldest = std::move(inflight_.front());
-    inflight_.pop_front();
-    Status st = co_await oldest.Wait();
-    if (!st.ok() && error_.ok()) error_ = st;
-  }
-  issued_->Increment();
-  depth_->Record(inflight_.size());
-  if (sim::Simulation* s = region_->simulation();
-      s != nullptr && s->tracer() != nullptr && s->tracer()->enabled()) {
-    s->tracer()->Instant(TraceLane::kPmClient, "pm.pipeline_issue",
-                         s->Now().ns, staged_op_id_, "depth",
-                         inflight_.size(), "bytes", staged_->bytes.size());
-  }
-  inflight_.push_back(region_->WriteAsync(
-      staged_->offset, std::move(staged_->bytes), staged_op_id_));
-  staged_.reset();
-  staged_op_id_ = 0;
-}
-
-Task<Status> PmWritePipeline::Submit(std::uint64_t offset,
-                                     std::vector<std::byte> bytes,
-                                     std::uint64_t op_id) {
-  if (staged_.has_value() &&
-      staged_->offset + staged_->bytes.size() == offset &&
-      staged_->bytes.size() + bytes.size() <= kMaxCoalesceBytes) {
-    staged_->bytes.insert(staged_->bytes.end(), bytes.begin(), bytes.end());
-    coalesced_->Increment();
-    co_return error_;
-  }
-  if (staged_.has_value()) co_await IssueStaged();
-  staged_ = PmRegion::ScatterOp{offset, std::move(bytes)};
-  staged_op_id_ = op_id;
-  co_return error_;
-}
-
-Task<Status> PmWritePipeline::Drain() {
-  if (staged_.has_value()) co_await IssueStaged();
-  while (!inflight_.empty()) {
-    PmWriteToken t = std::move(inflight_.front());
-    inflight_.pop_front();
-    Status st = co_await t.Wait();
-    if (!st.ok() && error_.ok()) error_ = st;
-  }
-  co_return std::exchange(error_, OkStatus());
 }
 
 Task<Result<std::vector<std::byte>>> PmRegion::PrimaryOrMirror(

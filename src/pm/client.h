@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -48,34 +47,6 @@ namespace ods::pm {
 class PmClient;
 class PmRegion;
 
-// Completion token for an asynchronous mirrored write (WriteAsync).
-// Resolves under the write contract above; failover happens inside the
-// token's completion path. Validation errors are born ready. Awaiting a
-// token does not consume it; Wait() after ready() returns the cached
-// status.
-class PmWriteToken {
- public:
-  PmWriteToken() = default;
-
-  // True once the final status is known.
-  [[nodiscard]] bool ready() const noexcept {
-    return !pending_.has_value() || pending_->ready();
-  }
-
-  // co_await token.Wait() -> Status. Blocks the issuing process's fiber.
-  sim::Task<Status> Wait();
-
- private:
-  friend class PmRegion;
-  explicit PmWriteToken(Status immediate) : immediate_(std::move(immediate)) {}
-  PmWriteToken(sim::Process& proc, sim::Future<Status> pending)
-      : proc_(&proc), pending_(std::move(pending)) {}
-
-  sim::Process* proc_ = nullptr;
-  std::optional<sim::Future<Status>> pending_;
-  Status immediate_;
-};
-
 // An open region bound to one host process. Byte-grained, synchronous.
 class PmRegion {
  public:
@@ -91,12 +62,6 @@ class PmRegion {
   // (0 = untagged) carried into the fabric's trace stream so one commit
   // can be followed across layers.
   sim::Task<Status> Write(std::uint64_t offset, std::vector<std::byte> data,
-                          std::uint64_t op_id = 0);
-
-  // Non-blocking write: both mirror legs are on the wire before this
-  // returns. The software latency of later writes overlaps the wire time
-  // of earlier ones — the primitive under PmWritePipeline.
-  PmWriteToken WriteAsync(std::uint64_t offset, std::vector<std::byte> data,
                           std::uint64_t op_id = 0);
 
   // Scatter variant: independent (offset, bytes) writes issued
@@ -118,6 +83,19 @@ class PmRegion {
   sim::Task<Status> WriteChain(std::vector<ScatterOp> ops,
                                std::uint64_t op_id = 0);
 
+  // The one ring commit (§3.4): durably writes `data` at logical position
+  // `pos` of the ring [ring_base, ring_base + ring_bytes), then `control`
+  // — the block that covers it — at offset 0, as ONE WriteChain. The data
+  // (at most `ring_bytes`) is one extent, or two when it wraps at the ring
+  // end. The chain lands
+  // in order and aborts on error, so the control block is never durable
+  // before the data it covers.
+  sim::Task<Status> CommitRing(std::uint64_t ring_base,
+                               std::uint64_t ring_bytes, std::uint64_t pos,
+                               std::vector<std::byte> data,
+                               std::vector<std::byte> control,
+                               std::uint64_t op_id = 0);
+
   // Synchronous read from the primary mirror (failover to the other).
   sim::Task<Result<std::vector<std::byte>>> Read(std::uint64_t offset,
                                                  std::uint64_t len,
@@ -136,10 +114,6 @@ class PmRegion {
   // The remote-durability mode (common/durability.h) this region's
   // writes run under: the fabric's. Only meaningful on a bound region.
   [[nodiscard]] DurabilityMode EffectiveDurability() const noexcept;
-
-  // Simulation of the bound host (nullptr when unbound) — lets the write
-  // pipeline reach the tracer/metrics without knowing about nsk.
-  [[nodiscard]] sim::Simulation* simulation() noexcept;
 
   // Service name of the PMM pair owning this region (the routed shard).
   [[nodiscard]] const std::string& owner_service() const noexcept {
@@ -188,10 +162,9 @@ class PmRegion {
   sim::Task<Status> Settle(InFlight& w);
   // Settles a single-op call and closes its `span_name` trace span (a
   // string literal) on the pm_client lane. Write awaits it inline;
-  // WriteAsync and WriteChain run it in a spawned fiber behind a token.
+  // WriteChain runs it in a spawned fiber.
   sim::Task<Status> Complete(InFlight w, const char* span_name,
                              std::uint64_t op_id);
-  PmWriteToken Launch(InFlight w, const char* span_name, std::uint64_t op_id);
   // Emits a write's span (args "bytes" and `key`) and the persist marker
   // of the effective durability mode (arg `key`).
   void TraceWrite(const char* span_name, const InFlight& w,
@@ -218,54 +191,6 @@ class PmRegion {
   RegionHandle handle_;
   std::string owner_service_;
   std::shared_ptr<sim::SimMutex> reporting_;  // held by ReportDeviceDown
-};
-
-// Pipelines mirrored writes through a region at a fixed queue depth.
-// Writes are staged one op at a time; a submit adjacent to the staged op
-// is merged into it (one fabric op instead of two), and a full queue
-// exerts backpressure by awaiting the oldest in-flight token.
-// Single-submitter discipline: one fiber calls Submit/Drain. Durability
-// point is Drain(): it resolves once everything submitted so far is
-// persistent and returns the first error seen since the previous Drain.
-//
-// Counts go to the bound host's metrics registry: "pm.pipeline.issued"
-// (ops handed to the fabric), "pm.pipeline.coalesced" (submits merged
-// into the staged op) and "pm.pipeline.depth" (in-flight depth sampled
-// at each issue).
-class PmWritePipeline {
- public:
-  static constexpr std::size_t kQueueDepth = 8;  // max in-flight fabric ops
-  static constexpr std::size_t kMaxCoalesceBytes = 256 * 1024;
-
-  // `region` must be bound (it supplies the registry).
-  explicit PmWritePipeline(PmRegion& region);
-
-  // Queues a write of `bytes` at `offset`. Blocks only for backpressure
-  // (queue at depth), never for durability. `op_id` tags the staged
-  // fabric op for tracing; a coalesced submit keeps the first op's tag.
-  sim::Task<Status> Submit(std::uint64_t offset, std::vector<std::byte> bytes,
-                           std::uint64_t op_id = 0);
-
-  // Barrier: everything submitted before this call is durable (or failed)
-  // when it resolves. Clears the sticky error it returns.
-  sim::Task<Status> Drain();
-
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return inflight_.size();
-  }
-
- private:
-  // Issues the staged op, first waiting out backpressure.
-  sim::Task<void> IssueStaged();
-
-  PmRegion* region_;
-  Counter* issued_ = nullptr;
-  Counter* coalesced_ = nullptr;
-  LatencyHistogram* depth_ = nullptr;
-  std::optional<PmRegion::ScatterOp> staged_;
-  std::uint64_t staged_op_id_ = 0;  // trace tag of the staged op
-  std::deque<PmWriteToken> inflight_;
-  Status error_;  // first failure since the last Drain
 };
 
 class PmClient {

@@ -13,22 +13,19 @@ namespace {
 constexpr std::uint32_t kQueueMagic = 0x504D5121;  // "PMQ!"
 }
 
-std::vector<std::byte> PmQueue::EncodeControl() const {
+std::vector<std::byte> PmQueue::EncodeControl(std::uint64_t head,
+                                              std::uint64_t tail) {
   Serializer s;
   s.PutU32(kQueueMagic);
-  s.PutU64(head_);
-  s.PutU64(tail_);
+  s.PutU64(head);
+  s.PutU64(tail);
   s.PutU32(Crc32c(s.bytes()));
   return std::move(s).Take();
 }
 
-Task<Status> PmQueue::WriteControl() {
-  co_return co_await region_.Write(0, EncodeControl());
-}
-
 Task<Status> PmQueue::Format() {
   head_ = tail_ = 0;
-  co_return co_await WriteControl();
+  co_return co_await region_.Write(0, EncodeControl(head_, tail_));
 }
 
 Task<Status> PmQueue::Open() {
@@ -56,23 +53,6 @@ Task<Status> PmQueue::Open() {
   co_return OkStatus();
 }
 
-Task<Status> PmQueue::RingWrite(std::uint64_t logical,
-                                std::vector<std::byte> bytes) {
-  const std::uint64_t phys = Phys(logical);
-  const std::uint64_t first =
-      std::min<std::uint64_t>(bytes.size(), kControlBytes + capacity_ - phys);
-  if (first == bytes.size()) {
-    co_return co_await region_.Write(phys, std::move(bytes));
-  }
-  std::vector<std::byte> head_part(
-      bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(first));
-  std::vector<std::byte> rest(
-      bytes.begin() + static_cast<std::ptrdiff_t>(first), bytes.end());
-  Status st = co_await region_.Write(phys, std::move(head_part));
-  if (!st.ok()) co_return st;
-  co_return co_await region_.Write(kControlBytes, std::move(rest));
-}
-
 Task<Result<std::vector<std::byte>>> PmQueue::RingRead(std::uint64_t logical,
                                                        std::uint64_t len) {
   const std::uint64_t phys = Phys(logical);
@@ -95,17 +75,14 @@ Task<Status> PmQueue::Enqueue(std::vector<std::byte> payload) {
   if (size_bytes() + frame.size() > capacity_) {
     co_return Status(ErrorCode::kResourceExhausted, "queue full");
   }
-  // Entry first, tail pointer second: an interrupted enqueue never
-  // becomes visible.
-  const std::uint64_t frame_len = frame.size();
-  Status st = co_await RingWrite(tail_, std::move(frame));
+  // Entry first, tail pointer second, in one chain: an interrupted
+  // enqueue never becomes visible.
+  const std::uint64_t new_tail = tail_ + frame.size();
+  Status st = co_await region_.CommitRing(kControlBytes, capacity_, tail_,
+                                          std::move(frame),
+                                          EncodeControl(head_, new_tail));
   if (!st.ok()) co_return st;
-  tail_ += frame_len;
-  st = co_await WriteControl();
-  if (!st.ok()) {
-    tail_ -= frame_len;  // not externalized
-    co_return st;
-  }
+  tail_ = new_tail;
   ++enqueued_;
   co_return OkStatus();
 }
@@ -135,13 +112,10 @@ Task<Result<std::vector<std::byte>>> PmQueue::Peek() {
 Task<Result<std::vector<std::byte>>> PmQueue::Dequeue() {
   auto payload = co_await Peek();
   if (!payload.ok()) co_return payload;
-  const std::uint64_t frame_len = 4 + payload->size() + 4;
-  head_ += frame_len;
-  Status st = co_await WriteControl();
-  if (!st.ok()) {
-    head_ -= frame_len;
-    co_return st;
-  }
+  const std::uint64_t new_head = head_ + 4 + payload->size() + 4;
+  Status st = co_await region_.Write(0, EncodeControl(new_head, tail_));
+  if (!st.ok()) co_return st;
+  head_ = new_head;
   ++dequeued_;
   co_return payload;
 }

@@ -3,7 +3,7 @@
 // §2 motivates it directly: "Streams of buy and sell orders arrive from
 // brokerage systems and must be queued and matched to generate trades."
 // With a disk, queuing durably per order is a millisecond each; with PM
-// it is two small RDMA writes. The queue survives power loss and process
+// it is one chained RDMA write. The queue survives power loss and process
 // crashes: a consumer restarted in a different address space resumes at
 // the durable head.
 //
@@ -11,11 +11,14 @@
 //   [control block (64B): magic | head | tail | crc]
 //   [ring of framed entries: len | payload | crc]
 //
-// Durability protocol: entry bytes land first, then the control block
-// advances the tail — an interrupted enqueue is invisible. Dequeue
-// advances the head in the control block after the consumer has the
-// payload; a crash between the two re-delivers the entry (at-least-once,
-// like any durable queue without consumer-side dedup).
+// Durability protocol: an enqueue is one ring commit (PmRegion::CommitRing)
+// — the entry bytes, then the control block advancing the tail, in one
+// chained RDMA write that lands in order and aborts on error, so an
+// interrupted enqueue is invisible. Dequeue advances the head in the
+// control block after the consumer has the payload; a crash between the
+// two re-delivers the entry (at-least-once, like any durable queue without
+// consumer-side dedup). One fiber at a time drives a queue: each control
+// block is encoded from the in-memory head and tail when it is posted.
 #pragma once
 
 #include <cstdint>
@@ -58,14 +61,12 @@ class PmQueue {
   [[nodiscard]] std::uint64_t dequeued() const noexcept { return dequeued_; }
 
  private:
-  [[nodiscard]] std::vector<std::byte> EncodeControl() const;
-  sim::Task<Status> WriteControl();
-  // Ring helpers: logical offset -> region offset.
+  [[nodiscard]] static std::vector<std::byte> EncodeControl(
+      std::uint64_t head, std::uint64_t tail);
+  // Ring helper: logical offset -> region offset.
   [[nodiscard]] std::uint64_t Phys(std::uint64_t logical) const noexcept {
     return kControlBytes + logical % capacity_;
   }
-  sim::Task<Status> RingWrite(std::uint64_t logical,
-                              std::vector<std::byte> bytes);
   sim::Task<Result<std::vector<std::byte>>> RingRead(std::uint64_t logical,
                                                      std::uint64_t len);
 

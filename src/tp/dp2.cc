@@ -238,21 +238,11 @@ Task<void> Dp2Process::FlushLoop() {
       FrameRecord(rec, framed);
     }
     if (framed.empty()) continue;
-    const std::uint64_t cap = config_.data_volume->capacity();
-    const std::uint64_t phys = volume_tail_ % cap;
-    const std::uint64_t first =
-        std::min<std::uint64_t>(framed.size(), cap - phys);
-    std::vector<std::byte> head(framed.begin(),
-                                framed.begin() + static_cast<std::ptrdiff_t>(first));
-    Status st = co_await config_.data_volume->Write(*this, phys,
-                                                    std::move(head));
-    if (st.ok() && first < framed.size()) {
-      std::vector<std::byte> rest(
-          framed.begin() + static_cast<std::ptrdiff_t>(first), framed.end());
-      st = co_await config_.data_volume->Write(*this, 0, std::move(rest));
-    }
+    const std::uint64_t n = framed.size();
+    Status st = co_await WriteVolumeRing(*this, *config_.data_volume,
+                                         volume_tail_, std::move(framed));
     if (st.ok()) {
-      volume_tail_ += framed.size();
+      volume_tail_ += n;
     } else {
       // Put the batch back; retry on the next round.
       for (const LockKey& key : batch_keys) dirty_.insert(key);

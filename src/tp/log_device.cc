@@ -76,26 +76,6 @@ std::uint64_t NextLsnAfter(std::span<const std::byte> frames) {
   return 1;
 }
 
-// Splits a ring write into at most two physical extents.
-template <typename WriteFn>
-Task<Status> RingWrite(std::uint64_t tail, std::uint64_t capacity,
-                       std::uint64_t base, std::vector<std::byte> bytes,
-                       WriteFn&& write) {
-  const std::uint64_t phys = tail % capacity;
-  const std::uint64_t first = std::min<std::uint64_t>(bytes.size(),
-                                                      capacity - phys);
-  if (first == bytes.size()) {
-    co_return co_await write(base + phys, std::move(bytes));
-  }
-  std::vector<std::byte> head(bytes.begin(),
-                              bytes.begin() + static_cast<std::ptrdiff_t>(first));
-  std::vector<std::byte> rest(bytes.begin() + static_cast<std::ptrdiff_t>(first),
-                              bytes.end());
-  Status s1 = co_await write(base + phys, std::move(head));
-  if (!s1.ok()) co_return s1;
-  co_return co_await write(base, std::move(rest));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- LogDevice
@@ -134,13 +114,24 @@ Task<Status> DiskLogDevice::Append(nsk::NskProcess& host,
   // sequential volume write.
   co_await host.Sleep(config_.sync_rotational_wait);
   const std::uint64_t n = bytes.size();
-  auto st = co_await RingWrite(
-      tail_, volume_.capacity(), 0, std::move(bytes),
-      [&](std::uint64_t off, std::vector<std::byte> b) -> Task<Status> {
-        co_return co_await volume_.Write(host, off, std::move(b));
-      });
+  auto st = co_await WriteVolumeRing(host, volume_, tail_, std::move(bytes));
   if (st.ok()) tail_ += n;
   co_return st;
+}
+
+Task<Status> WriteVolumeRing(nsk::NskProcess& host,
+                             storage::DiskVolume& volume, std::uint64_t pos,
+                             std::vector<std::byte> bytes) {
+  const std::uint64_t phys = pos % volume.capacity();
+  const std::uint64_t first =
+      std::min<std::uint64_t>(bytes.size(), volume.capacity() - phys);
+  if (first == bytes.size()) {
+    co_return co_await volume.Write(host, phys, std::move(bytes));
+  }
+  const auto cut = bytes.begin() + static_cast<std::ptrdiff_t>(first);
+  Status st = co_await volume.Write(host, phys, {bytes.begin(), cut});
+  if (!st.ok()) co_return st;
+  co_return co_await volume.Write(host, 0, {cut, bytes.end()});
 }
 
 Task<Result<std::vector<std::byte>>> ScanFramedVolume(
@@ -199,7 +190,6 @@ Task<Status> PmLogStream::Open(nsk::NskProcess& host,
   auto region = co_await client.Create(name, kDataBase + ring_bytes);
   if (!region.ok()) co_return region.status();
   region_ = std::move(*region);
-  pipeline_.emplace(*region_);
   ring_bytes_ = ring_bytes;
   piggybacked_ = &host.sim().metrics().GetCounter("pm.log.piggybacked");
   co_return OkStatus();
@@ -207,34 +197,13 @@ Task<Status> PmLogStream::Open(nsk::NskProcess& host,
 
 Task<Status> PmLogStream::Commit(std::uint64_t ring_pos,
                                  std::vector<std::byte> data,
-                                 std::vector<std::byte> control, bool piggyback,
+                                 std::vector<std::byte> control,
                                  std::uint64_t op_id) {
-  const std::uint64_t phys = ring_pos % ring_bytes_;
-  if (piggyback && phys + data.size() <= ring_bytes_) {
-    // Fast path: data and the control block covering it go out as ONE
-    // chained RDMA op — a single software-latency round trip instead of
-    // two. The chain lands in posting order and aborts on error, so the
-    // control block can never become durable before the data it covers
-    // (§3.4 recovery invariant holds without the second round).
-    std::vector<pm::PmRegion::ScatterOp> ops;
-    ops.reserve(2);
-    ops.push_back({kDataBase + phys, std::move(data)});
-    ops.push_back({0, std::move(control)});
-    auto st = co_await region_->WriteChain(std::move(ops), op_id);
-    if (st.ok()) piggybacked_->Increment();
-    co_return st;
-  }
-  // Wrap / ablation path: pipeline the data extents, drain the pipeline,
-  // then write the control block as its own op — the seed's ordering
-  // (data fully durable before the control block covers it).
-  auto st = co_await RingWrite(
-      ring_pos, ring_bytes_, kDataBase, std::move(data),
-      [&](std::uint64_t off, std::vector<std::byte> b) -> Task<Status> {
-        co_return co_await pipeline_->Submit(off, std::move(b), op_id);
-      });
-  if (st.ok()) st = co_await pipeline_->Drain();
-  if (!st.ok()) co_return st;
-  co_return co_await region_->Write(0, std::move(control), op_id);
+  auto st = co_await region_->CommitRing(kDataBase, ring_bytes_, ring_pos,
+                                         std::move(data), std::move(control),
+                                         op_id);
+  if (st.ok()) piggybacked_->Increment();
+  co_return st;
 }
 
 // -------------------------------------------------------------- PmLogDevice
@@ -279,8 +248,7 @@ Task<Status> PmLogDevice::Append(nsk::NskProcess& host,
           ? SealControl(kControlMagicV2, {pos + n, base_})
           : SealControl(kControlMagic, {pos + n});
   auto st = co_await stream_.Commit(pos - base_, std::move(bytes),
-                                    std::move(control),
-                                    config_.piggyback_control, op_id);
+                                    std::move(control), op_id);
   if (behind) {
     Status prior = co_await before.Wait(host);
     if (st.ok()) st = std::move(prior);
@@ -464,8 +432,7 @@ Task<Status> ShardedPmLogDevice::CommitStripe(ShardStream& st,
   std::vector<std::byte> control =
       SealControl(kShardControlMagic, {st.epoch + 1, new_tail, new_global});
   auto status = co_await st.log.Commit(st.tail, std::move(framed),
-                                       std::move(control),
-                                       /*piggyback=*/true, op_id);
+                                       std::move(control), op_id);
   if (!status.ok()) co_return status;
   st.tail = new_tail;
   st.epoch += 1;

@@ -17,13 +17,12 @@
 //    PmLogStream per shard, each stream holding an "ADPS" control block
 //    and [global_offset|len|payload] stripe frames.
 //
-// Both PM devices commit through PmLogStream::Commit. When the ring does
-// not wrap, a commit is ONE chained RDMA op — the data plus a small
+// Both PM devices commit through PmLogStream::Commit, which is the one PM
+// ring commit (pm::PmRegion::CommitRing): ONE chained RDMA op — the data,
+// split in two extents when it wraps at the ring end, plus a small
 // control block carrying the new tail as the final gather segment (the
 // chain's in-order, abort-on-error semantics keep the tail from ever
-// covering un-landed data). On wrap, or with piggybacking disabled for
-// ablation, the data is pipelined and the control block written
-// separately afterwards. The fine-grained control block is what
+// covering un-landed data). The fine-grained control block is what
 // eliminates "costly heuristic searching of audit trail information" at
 // recovery (§3.4): recovery reads the tail pointer directly instead of
 // scanning the log.
@@ -169,45 +168,33 @@ class DiskLogDevice final : public LogDevice {
 };
 
 // One PM log stream: the unit both PM log devices are built from. It
-// owns a PM region laid out as [control block (64 B) | data ring], the
-// write pipeline that feeds the ring, and the commit that makes a ring
-// write durable together with the control block covering it. The caller
-// keeps the ring position and encodes the control block, so the stream
-// serves both the classic layout and the striped one.
+// owns a PM region laid out as [control block (64 B) | data ring] and
+// commits ring writes together with the control block covering them. The
+// caller keeps the ring position and encodes the control block, so the
+// stream serves both the classic layout and the striped one.
 class PmLogStream {
  public:
   // Region layout: [control block | data ring].
   static constexpr std::uint64_t kDataBase = 64;
 
-  PmLogStream() = default;
-  // The pipeline points into the region: the stream never moves.
-  PmLogStream(const PmLogStream&) = delete;
-  PmLogStream& operator=(const PmLogStream&) = delete;
-
   // Creates (or re-attaches) region `name` on `pmm_service` with a data
-  // ring of `ring_bytes` and attaches the write pipeline.
+  // ring of `ring_bytes`.
   sim::Task<Status> Open(nsk::NskProcess& host, const std::string& pmm_service,
                          const std::string& name, std::uint64_t ring_bytes);
 
   // Durably writes `data` at ring position `ring_pos` (taken modulo the
-  // ring), then `control` at offset 0; returns once both are durable.
-  // With `piggyback` and no wrap this is ONE chained RDMA op (data, then
-  // control); otherwise the data is pipelined and drained, and the
-  // control block written as its own op — the seed's ordering.
+  // ring), then `control` at offset 0, as ONE chained RDMA op
+  // (pm::PmRegion::CommitRing); returns once both are durable.
   sim::Task<Status> Commit(std::uint64_t ring_pos, std::vector<std::byte> data,
-                           std::vector<std::byte> control, bool piggyback,
+                           std::vector<std::byte> control,
                            std::uint64_t op_id);
 
   [[nodiscard]] bool is_open() const noexcept { return region_.has_value(); }
   [[nodiscard]] pm::PmRegion& region() { return *region_; }
-  void Reset() noexcept {
-    pipeline_.reset();
-    region_.reset();
-  }
+  void Reset() noexcept { region_.reset(); }
 
  private:
   std::optional<pm::PmRegion> region_;
-  std::optional<pm::PmWritePipeline> pipeline_;
   std::uint64_t ring_bytes_ = 0;
   Counter* piggybacked_ = nullptr;  // "pm.log.piggybacked"
 };
@@ -216,11 +203,6 @@ struct PmLogConfig {
   std::string pmm_service = "$PMM";
   std::string region_name;          // unique per ADP, e.g. "audit-$ADP0"
   std::uint64_t region_bytes = 48ull << 20;
-  // Carry the control block as the final gather segment of the data RDMA
-  // when the ring does not wrap (one fabric round trip per append instead
-  // of two). Off = the seed's serialized data-then-control path, kept as
-  // an ablation knob.
-  bool piggyback_control = true;
   // Active-NPMU offload: cold recovery via a device-side VerifyScan
   // command instead of shipping the log image, compaction via a single
   // CompactTo command, and replay_source() advertised so DP2s can
@@ -419,5 +401,14 @@ enum class LogMedium { kDisk, kPm };
 // data-volume recovery.
 sim::Task<Result<std::vector<std::byte>>> ScanFramedVolume(
     nsk::NskProcess& host, storage::DiskVolume& volume);
+
+// Writes `bytes` at logical position `pos` of a volume used as a ring:
+// one sequential volume write, or two when the bytes wrap at the
+// volume's capacity — shared by the disk log writer and DP2's
+// data-volume flush.
+sim::Task<Status> WriteVolumeRing(nsk::NskProcess& host,
+                                  storage::DiskVolume& volume,
+                                  std::uint64_t pos,
+                                  std::vector<std::byte> bytes);
 
 }  // namespace ods::tp

@@ -1,9 +1,8 @@
-// Cross-checks the PM write engine's own accounting (the "pm.pipeline.*"
-// and "pm.log.piggybacked" metrics kept by pm::PmWritePipeline and
-// tp::PmLogStream) against the fabric's observed packet counters. The
-// two are maintained in different layers — the write engine counts what
-// it decided to do (issue, coalesce, piggyback), the fabric counts what
-// actually hit the wire — so agreement here means the bench numbers
+// Cross-checks the PM ring commit's own accounting (the
+// "pm.log.piggybacked" counter kept by tp::PmLogStream) against the
+// fabric's observed packet counters. The two are maintained in different
+// layers — the log stream counts the commits it made, the fabric counts
+// what actually hit the wire — so agreement here means the bench numbers
 // built from either source describe the same traffic.
 //
 // The arithmetic being verified (FabricConfig defaults, mtu = 512):
@@ -11,10 +10,9 @@
 //     each counting once in rdma_write_ops;
 //   * a chain's packet count is the sum over its segments of
 //     ceil(len/mtu);
-//   * the piggybacked append is one chain of [data, 16B control], so
-//     2 * (ceil(n/mtu) + 1) packets per append;
-//   * the ablation/wrap path issues data through the pipeline and then
-//     writes the control block separately: 2*ceil(n/mtu) + 2 packets;
+//   * an append is one chain of [data, 16B control], so
+//     2 * (ceil(n/mtu) + 1) packets per append; an append that wraps at
+//     the ring end is one chain of [extent A, extent B, 16B control];
 //   * ops round-robin over the two healthy rails, so mirror pairs split
 //     evenly and the per-rail packet counters balance exactly.
 #include <cstdint>
@@ -49,22 +47,6 @@ struct FabricSnapshot {
   static FabricSnapshot Take(const net::Fabric& f) {
     return {f.rdma_write_ops(), f.write_packets(), f.read_packets(),
             f.rail_packets(0), f.rail_packets(1)};
-  }
-};
-
-// The write engine's counters, read from the run's metrics registry.
-struct EngineCounts {
-  std::uint64_t piggybacked = 0;
-  std::uint64_t issued = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t depth_samples = 0;
-
-  static EngineCounts Take(const MetricsRegistry& m) {
-    const LatencyHistogram* depth = m.FindHistogram("pm.pipeline.depth");
-    return {m.CounterValue("pm.log.piggybacked"),
-            m.CounterValue("pm.pipeline.issued"),
-            m.CounterValue("pm.pipeline.coalesced"),
-            depth == nullptr ? 0 : depth->count()};
   }
 };
 
@@ -104,7 +86,6 @@ TEST_F(PipelineStatsFixture, PiggybackedAppendsMatchFabricPacketCounts) {
     tp::PmLogConfig cfg;
     cfg.region_name = "audit-piggy";
     cfg.region_bytes = 1 << 20;
-    cfg.piggyback_control = true;
     tp::PmLogDevice dev(cfg);
     EXPECT_TRUE((co_await dev.Open(self)).ok());
 
@@ -117,11 +98,8 @@ TEST_F(PipelineStatsFixture, PiggybackedAppendsMatchFabricPacketCounts) {
     }
     const auto after = FabricSnapshot::Take(cluster.fabric());
 
-    const auto stats = EngineCounts::Take(sim.metrics());
-    EXPECT_EQ(stats.piggybacked, std::size(sizes));
-    EXPECT_EQ(stats.issued, 0u);  // pipeline never engaged
-    EXPECT_EQ(stats.coalesced, 0u);
-    EXPECT_EQ(stats.depth_samples, 0u);
+    EXPECT_EQ(sim.metrics().CounterValue("pm.log.piggybacked"),
+              std::size(sizes));
 
     EXPECT_EQ(after.write_ops - before.write_ops, 2 * std::size(sizes));
     EXPECT_EQ(after.write_packets - before.write_packets, expect_packets);
@@ -136,111 +114,49 @@ TEST_F(PipelineStatsFixture, PiggybackedAppendsMatchFabricPacketCounts) {
   EXPECT_TRUE(done);
 }
 
-TEST_F(PipelineStatsFixture, AblationPathIssuesDataThenControlSeparately) {
-  const std::uint64_t sizes[] = {100, 4096};
-  bool done = false;
-  sim.Adopt<TestProcess>(cluster, 2, "probe",
-                         [&](TestProcess& self) -> Task<void> {
-    tp::PmLogConfig cfg;
-    cfg.region_name = "audit-ablate";
-    cfg.region_bytes = 1 << 20;
-    cfg.piggyback_control = false;  // the seed's serialized ordering
-    tp::PmLogDevice dev(cfg);
-    EXPECT_TRUE((co_await dev.Open(self)).ok());
-
-    const auto before = FabricSnapshot::Take(cluster.fabric());
-    std::uint64_t expect_packets = 0;
-    for (std::uint64_t n : sizes) {
-      EXPECT_TRUE((co_await dev.Append(self, Fill(n, 0x6B))).ok());
-      // Data via the pipeline (one issue, both mirrors), then the control
-      // block as its own mirrored write.
-      expect_packets += 2 * Pkts(n) + 2;
-    }
-    const auto after = FabricSnapshot::Take(cluster.fabric());
-
-    const auto stats = EngineCounts::Take(sim.metrics());
-    EXPECT_EQ(stats.piggybacked, 0u);
-    EXPECT_EQ(stats.issued, std::size(sizes));
-    EXPECT_EQ(stats.coalesced, 0u);
-    EXPECT_EQ(stats.depth_samples, std::size(sizes));
-
-    // Per append: 2 data ops + 2 control ops.
-    EXPECT_EQ(after.write_ops - before.write_ops, 4 * std::size(sizes));
-    EXPECT_EQ(after.write_packets - before.write_packets, expect_packets);
-    done = true;
-  });
-  sim.Run();
-  EXPECT_TRUE(done);
-}
-
-TEST_F(PipelineStatsFixture, RingWrapFallsBackToPipelinedExtents) {
+TEST_F(PipelineStatsFixture, RingWrapCommitsOneChainPerMirror) {
   bool done = false;
   sim.Adopt<TestProcess>(cluster, 2, "probe",
                          [&](TestProcess& self) -> Task<void> {
     tp::PmLogConfig cfg;
     cfg.region_name = "audit-wrap";
     cfg.region_bytes = 4096;  // tiny ring so the second append wraps
-    cfg.piggyback_control = true;
     tp::PmLogDevice dev(cfg);
     EXPECT_TRUE((co_await dev.Open(self)).ok());
 
     const auto before = FabricSnapshot::Take(cluster.fabric());
-    // Fits: piggybacked single chain.
     EXPECT_TRUE((co_await dev.Append(self, Fill(3000, 1))).ok());
-    // Wraps (3000 + 2000 > 4096): extents of 1096 and 904 bytes go
-    // through the pipeline (non-adjacent physical offsets, so two
-    // issues), then the control block is written separately.
+    // Wraps (3000 + 2000 > 4096): extents of 1096 and 904 bytes, then the
+    // control block, all in the same chain.
     EXPECT_TRUE((co_await dev.Append(self, Fill(2000, 2))).ok());
     const auto after = FabricSnapshot::Take(cluster.fabric());
     EXPECT_EQ(dev.tail(), 5000u);
+    EXPECT_EQ(sim.metrics().CounterValue("pm.log.piggybacked"), 2u);
 
-    const auto stats = EngineCounts::Take(sim.metrics());
-    EXPECT_EQ(stats.piggybacked, 1u);
-    EXPECT_EQ(stats.issued, 2u);
-    EXPECT_EQ(stats.coalesced, 0u);
-
-    // Append 1: one chain per mirror. Append 2: two pipeline issues plus
-    // the control write, each mirrored.
-    EXPECT_EQ(after.write_ops - before.write_ops, 2u + 6u);
-    const std::uint64_t expect_packets = 2 * (Pkts(3000) + 1) +  // piggyback
-                                         2 * Pkts(1096) +        // extent A
-                                         2 * Pkts(904) +         // extent B
-                                         2;                      // control
+    // One chain per mirror per append.
+    EXPECT_EQ(after.write_ops - before.write_ops, 2u + 2u);
+    const std::uint64_t expect_packets =
+        2 * (Pkts(3000) + 1) +            // append 1
+        2 * (Pkts(1096) + Pkts(904) + 1);  // append 2, wrapped
     EXPECT_EQ(after.write_packets - before.write_packets, expect_packets);
-    done = true;
-  });
-  sim.Run();
-  EXPECT_TRUE(done);
-}
+    EXPECT_EQ(after.rail0 - before.rail0, expect_packets / 2);
+    EXPECT_EQ(after.rail1 - before.rail1, expect_packets / 2);
 
-TEST_F(PipelineStatsFixture, CoalescedSubmitsCollapseIntoOneFabricOp) {
-  bool done = false;
-  sim.Adopt<TestProcess>(cluster, 2, "probe",
-                         [&](TestProcess& self) -> Task<void> {
+    // Extent A fills the ring end; extent B overwrites the ring start.
     pm::PmClient client(self, "$PMM");
-    auto region = co_await client.Create("coalesce", 64 * 1024);
+    auto region = co_await client.Open("audit-wrap");
     EXPECT_TRUE(region.ok()) << region.status().ToString();
     if (!region.ok()) co_return;
-
-    pm::PmWritePipeline pipe(*region);
-    const auto before = FabricSnapshot::Take(cluster.fabric());
-    // Three adjacent submits merge into one staged 768-byte op...
-    EXPECT_TRUE((co_await pipe.Submit(0, Fill(256, 1))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(256, Fill(256, 2))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(512, Fill(256, 3))).ok());
-    // ...which a non-adjacent submit flushes to the wire.
-    EXPECT_TRUE((co_await pipe.Submit(4096, Fill(100, 4))).ok());
-    EXPECT_TRUE((co_await pipe.Drain()).ok());
-    const auto after = FabricSnapshot::Take(cluster.fabric());
-
-    const auto stats = EngineCounts::Take(sim.metrics());
-    EXPECT_EQ(stats.coalesced, 2u);
-    EXPECT_EQ(stats.issued, 2u);
-    EXPECT_EQ(stats.depth_samples, 2u);
-
-    EXPECT_EQ(after.write_ops - before.write_ops, 4u);  // 2 issues x mirrors
-    EXPECT_EQ(after.write_packets - before.write_packets,
-              2 * Pkts(768) + 2 * Pkts(100));
+    auto ring = co_await region->Read(tp::PmLogStream::kDataBase, 4096);
+    EXPECT_TRUE(ring.ok());
+    if (!ring.ok()) co_return;
+    const auto at = [&](std::size_t i) { return static_cast<int>((*ring)[i]); };
+    EXPECT_EQ(at(0), 2);
+    EXPECT_EQ(at(903), 2);
+    EXPECT_EQ(at(904), 1);
+    EXPECT_EQ(at(2999), 1);
+    EXPECT_EQ(at(3000), 2);
+    EXPECT_EQ(at(4095), 2);
     done = true;
   });
   sim.Run();

@@ -196,7 +196,7 @@ TEST_F(QueueFixture, DurableEnqueueIsMicrosecondClass) {
     const SimTime t0 = self.sim().Now();
     EXPECT_TRUE((co_await q.Enqueue(Order(1))).ok());
     const double us = sim::ToMicrosD(self.sim().Now() - t0);
-    EXPECT_LT(us, 100.0) << "durable enqueue must be ~two RDMA writes";
+    EXPECT_LT(us, 100.0) << "durable enqueue must be ~one chained RDMA write";
     EXPECT_GT(us, 10.0);
   });
   sim.Run();

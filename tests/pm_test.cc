@@ -515,93 +515,7 @@ TEST_F(PmpFixture, PmpBehavesLikeNpmuOnTheWire) {
   EXPECT_TRUE(done);
 }
 
-// ------------------------------------------------- async writes / pipeline
-
-TEST_F(PmFixture, WriteAsyncTokensResolveMirrored) {
-  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
-    PmClient client(self, "$PMM");
-    auto region = co_await client.Create("r1", 64 * 1024);
-    EXPECT_TRUE(region.ok());
-    // Several writes on the wire at once; each token independently
-    // awaitable, all durable on both devices afterwards.
-    PmWriteToken t1 = region->WriteAsync(0, Fill(512, 0x01));
-    PmWriteToken t2 = region->WriteAsync(512, Fill(512, 0x02));
-    PmWriteToken t3 = region->WriteAsync(1024, Fill(512, 0x03));
-    EXPECT_TRUE((co_await t1.Wait()).ok());
-    EXPECT_TRUE((co_await t2.Wait()).ok());
-    EXPECT_TRUE((co_await t3.Wait()).ok());
-    EXPECT_TRUE(t3.ready());
-    // Waiting a resolved token again returns the cached status.
-    EXPECT_TRUE((co_await t3.Wait()).ok());
-  });
-  sim.RunUntil(SimTime{Seconds(5).ns});
-  EXPECT_EQ(npmu_a.data_memory()[0], std::byte{0x01});
-  EXPECT_EQ(npmu_b.data_memory()[1025], std::byte{0x03});
-}
-
-TEST_F(PmFixture, WriteAsyncOutOfRangeIsBornReady) {
-  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
-    PmClient client(self, "$PMM");
-    auto region = co_await client.Create("r1", 4096);
-    EXPECT_TRUE(region.ok());
-    PmWriteToken t = region->WriteAsync(4096 - 8, Fill(64, 0xFF));
-    EXPECT_TRUE(t.ready());
-    EXPECT_EQ((co_await t.Wait()).code(), ErrorCode::kOutOfRange);
-  });
-  sim.RunUntil(SimTime{Seconds(2).ns});
-}
-
-TEST_F(PmFixture, WriteAsyncAndDrainSurviveMirrorFailure) {
-  // The issue's acceptance case: a pipeline of async writes with one
-  // mirror down mid-stream must drain OK (durability on the survivor)
-  // and report the dead device to the PMM.
-  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
-    PmClient client(self, "$PMM");
-    auto region = co_await client.Create("r1", 64 * 1024);
-    EXPECT_TRUE(region.ok());
-    PmWritePipeline pipe(*region);
-    EXPECT_TRUE((co_await pipe.Submit(0, Fill(256, 0x10))).ok());
-    EXPECT_TRUE((co_await pipe.Drain()).ok());
-    npmu_b.Fail();  // mirror dies with writes still to come
-    EXPECT_TRUE((co_await pipe.Submit(256, Fill(256, 0x20))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(512, Fill(256, 0x30))).ok());
-    auto st = co_await pipe.Drain();
-    EXPECT_TRUE(st.ok()) << "drain must succeed on the survivor: "
-                         << st.ToString();
-    auto back = co_await region->Read(0, 768);
-    EXPECT_TRUE(back.ok());
-    EXPECT_EQ((*back)[256], std::byte{0x20});
-    EXPECT_EQ((*back)[512], std::byte{0x30});
-  });
-  sim.RunUntil(SimTime{Seconds(5).ns});
-  EXPECT_FALSE(pmm_p->mirror_up()) << "dead mirror must be reported";
-  EXPECT_EQ(npmu_a.data_memory()[512], std::byte{0x30});
-}
-
-TEST_F(PmFixture, PipelineCoalescesAdjacentSubmits) {
-  sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
-    PmClient client(self, "$PMM");
-    auto region = co_await client.Create("r1", 64 * 1024);
-    EXPECT_TRUE(region.ok());
-    const std::uint64_t ops_before = cluster.fabric().rdma_write_ops();
-    PmWritePipeline pipe(*region);
-    // Four back-to-back extents: one staged op, three merged into it.
-    EXPECT_TRUE((co_await pipe.Submit(0, Fill(128, 0x01))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(128, Fill(128, 0x02))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(256, Fill(128, 0x03))).ok());
-    EXPECT_TRUE((co_await pipe.Submit(384, Fill(128, 0x04))).ok());
-    EXPECT_TRUE((co_await pipe.Drain()).ok());
-    EXPECT_EQ(cluster.fabric().rdma_write_ops() - ops_before, 2u)
-        << "adjacent submits must ride one mirrored op";
-    auto back = co_await region->Read(0, 512);
-    EXPECT_TRUE(back.ok());
-    EXPECT_EQ((*back)[0], std::byte{0x01});
-    EXPECT_EQ((*back)[511], std::byte{0x04});
-  });
-  sim.RunUntil(SimTime{Seconds(5).ns});
-  EXPECT_EQ(sim.metrics().CounterValue("pm.pipeline.coalesced"), 3u);
-  EXPECT_EQ(sim.metrics().CounterValue("pm.pipeline.issued"), 1u);
-}
+// ------------------------------------------------- concurrent writes
 
 TEST_F(PmFixture, WriteScatterReportsDeadMirrorAndSucceedsOnSurvivor) {
   // Regression: WriteScatter used to swallow per-op mirror failures —
@@ -626,13 +540,14 @@ TEST_F(PmFixture, WriteScatterReportsDeadMirrorAndSucceedsOnSurvivor) {
 }
 
 TEST_F(PmFixture, AsyncTokenResolvingAfterADemotionReportsNothingMore) {
-  // Two async writes are posted under the same roles to a primary that
-  // has died. The first resolves and reports it; the second is posted
-  // once the PMM has committed that demotion, before its reply refreshes
-  // the handle, and resolves after the refresh — against a handle that
-  // already names the survivor as primary. It must count the recorded
-  // demotion, not report the survivor dead (which the PMM refuses, still
-  // committing).
+  // Two writes run concurrently in spawned fibers, as overlapping log
+  // appends do, each awaited through its future. Both are posted under
+  // the same roles to a primary that has died. The first resolves and
+  // reports it; the second is posted once the PMM has committed that
+  // demotion, before its reply refreshes the handle, and resolves after
+  // the refresh — against a handle that already names the survivor as
+  // primary. It must count the recorded demotion, not report the survivor
+  // dead (which the PMM refuses, still committing).
   std::uint64_t commits = 0;
   std::uint32_t primary = 0;
   Status first, second;
@@ -645,14 +560,16 @@ TEST_F(PmFixture, AsyncTokenResolvingAfterADemotionReportsNothingMore) {
     };
     const std::uint64_t before = committed();
     npmu_a.Fail();  // the primary
-    PmWriteToken small = region->WriteAsync(0, Fill(64, 0x01));
+    sim::Future<Status> small =
+        sim::SpawnTask(self, region->Write(0, Fill(64, 0x01)));
     while (committed() == before) co_await self.Sleep(Microseconds(1));
     EXPECT_EQ(region->handle().primary_endpoint, npmu_a.id().value)
         << "posted under the old roles";
-    PmWriteToken large = region->WriteAsync(4096, Fill(64 * 1024, 0x02));
-    first = co_await small.Wait();
+    sim::Future<Status> large =
+        sim::SpawnTask(self, region->Write(4096, Fill(64 * 1024, 0x02)));
+    first = co_await small.Wait(self);
     EXPECT_FALSE(large.ready()) << "the large write must resolve second";
-    second = co_await large.Wait();
+    second = co_await large.Wait(self);
     commits = committed() - before;
     auto reopened = co_await client.Open("r1");  // the PMM's roles
     EXPECT_TRUE(reopened.ok());
@@ -668,9 +585,10 @@ TEST_F(PmFixture, AsyncTokenResolvingAfterADemotionReportsNothingMore) {
 }
 
 TEST_F(PmFixture, TokensResolvingBeforeTheFirstReportAcksReportOnce) {
-  // Two async writes both resolve against a dead primary before the
-  // first one's report is acked. The second awaits that report instead
-  // of sending its own: one demotion, one metadata commit.
+  // Two concurrent writes in spawned fibers both resolve against a dead
+  // primary before the first one's report is acked. The second awaits
+  // that report instead of sending its own: one demotion, one metadata
+  // commit.
   std::uint64_t commits = 0;
   Status first, second;
   sim.Adopt<TestProcess>(cluster, 2, "app", [&](TestProcess& self) -> Task<void> {
@@ -680,10 +598,12 @@ TEST_F(PmFixture, TokensResolvingBeforeTheFirstReportAcksReportOnce) {
     const std::uint64_t before =
         sim.metrics().CounterValue("pmm.metadata_commits");
     npmu_a.Fail();  // the primary
-    PmWriteToken a = region->WriteAsync(0, Fill(64, 0x01));
-    PmWriteToken b = region->WriteAsync(4096, Fill(64, 0x02));
-    first = co_await a.Wait();
-    second = co_await b.Wait();
+    sim::Future<Status> a =
+        sim::SpawnTask(self, region->Write(0, Fill(64, 0x01)));
+    sim::Future<Status> b =
+        sim::SpawnTask(self, region->Write(4096, Fill(64, 0x02)));
+    first = co_await a.Wait(self);
+    second = co_await b.Wait(self);
     commits = sim.metrics().CounterValue("pmm.metadata_commits") - before;
   });
   sim.RunUntil(SimTime{Seconds(5).ns});
@@ -699,7 +619,7 @@ TEST_F(PmFixture, TokensResolvingBeforeTheFirstReportAcksReportOnce) {
 // Every mirrored entry point resolves a dead device through the one
 // write-failover rule (pm/client.h): the same status, survivor bytes and
 // PMM role change, whichever call carried the write.
-enum class Entry { kWrite, kWriteAsync, kWriteChain, kWriteScatter, kCommand };
+enum class Entry { kWrite, kWriteChain, kWriteScatter, kCommand };
 enum class Failure { kMirrorDown, kPrimaryDown, kBothDown };
 
 struct MirroredWriteFailover
@@ -718,8 +638,6 @@ Task<Status> WriteThrough(Entry entry, PmRegion& region) {
   switch (entry) {
     case Entry::kWrite:
       co_return co_await region.Write(0, Fill(128, 0x5A));
-    case Entry::kWriteAsync:
-      co_return co_await region.WriteAsync(0, Fill(128, 0x5A)).Wait();
     case Entry::kWriteChain:
       co_return co_await region.WriteChain(std::move(halves));
     case Entry::kWriteScatter:
@@ -774,8 +692,8 @@ TEST_P(MirroredWriteFailover, ResolvesThroughOneRule) {
 
 std::string CellName(
     const ::testing::TestParamInfo<std::tuple<Entry, Failure>>& info) {
-  static const char* const kEntries[] = {"Write", "WriteAsync", "WriteChain",
-                                         "WriteScatter", "DeviceCommand"};
+  static const char* const kEntries[] = {"Write", "WriteChain", "WriteScatter",
+                                         "DeviceCommand"};
   static const char* const kFailures[] = {"MirrorDown", "PrimaryDown",
                                           "BothDown"};
   return std::string(kEntries[static_cast<int>(std::get<0>(info.param))]) +
@@ -784,8 +702,7 @@ std::string CellName(
 
 INSTANTIATE_TEST_SUITE_P(
     EntryPointsByFailure, MirroredWriteFailover,
-    ::testing::Combine(::testing::Values(Entry::kWrite, Entry::kWriteAsync,
-                                         Entry::kWriteChain,
+    ::testing::Combine(::testing::Values(Entry::kWrite, Entry::kWriteChain,
                                          Entry::kWriteScatter, Entry::kCommand),
                        ::testing::Values(Failure::kMirrorDown,
                                          Failure::kPrimaryDown,

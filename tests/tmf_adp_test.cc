@@ -4,8 +4,10 @@
 // behaviour when the audit trail is unavailable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -344,9 +346,9 @@ std::vector<std::byte> MakeFrame(std::size_t payload_len, std::uint8_t fill) {
 // A PMM pair over a mirrored NPMU pair, for driving a PmLogDevice on
 // CPUs 2 and 3.
 struct PmLogRig {
-  PmLogRig() { plane.Start(); }
+  explicit PmLogRig(std::uint64_t seed = 23) : sim(seed) { plane.Start(); }
 
-  sim::Simulation sim{23};
+  sim::Simulation sim;
   nsk::Cluster cluster{sim, nsk::ClusterConfig{}};
   pm::PmPlane plane{cluster, pm::PmDeviceKind::kNpmuPair};
 };
@@ -390,8 +392,8 @@ TEST(PmLogTornWrite, ControlBlockNeverDurableBeforeItsData) {
   ASSERT_TRUE(torn) << "corruption never tore an append";
   ASSERT_GT(acked, 0u);
 
-  // Power loss: the writer's tail and pipeline are volatile and gone. A
-  // fresh device instance recovers purely from the durable control block
+  // Power loss: the writer's tail is volatile and gone. A fresh device
+  // instance recovers purely from the durable control block
   // and ring contents.
   std::vector<std::byte> img;
   bool recovered = false;
@@ -415,6 +417,101 @@ TEST(PmLogTornWrite, ControlBlockNeverDurableBeforeItsData) {
   EXPECT_EQ(FrameScanPrefix(img), img.size())
       << "durable tail covers bytes that never validly landed";
   EXPECT_GE(img.size(), acked) << "an acknowledged append was lost";
+}
+
+TEST(PmLogTornWrite, WrappedAppendTearsBeforeItsControlBlock) {
+  // An append that wraps at the ring end is still one chain: [extent A at
+  // the ring end, extent B at the ring start, control block]. Fill a
+  // 4 KiB ring with acked frames, then post one wrapping append under
+  // heavy packet corruption, power-fail, and look at what the primary
+  // holds. Whenever its control block moved, the whole chain landed.
+  // Whenever it did not and extent B left the ring start alone, a fresh
+  // device recovers exactly the acked prefix. At least one trial must tear
+  // after extent A landed whole.
+  constexpr std::uint64_t kRing = 4096;
+  constexpr std::uint64_t kDataBase = PmLogStream::kDataBase;
+  PmLogConfig cfg;
+  cfg.region_name = "torn-wrap";
+  cfg.region_bytes = kRing;
+  int torn_after_extent_a = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PmLogRig rig(seed);
+    std::vector<std::byte> acked;  // the acked log, in order
+    const std::vector<std::byte> wrap = MakeFrame(2000, 0xEE);
+    Status wrap_st;
+    rig.sim.Adopt<App>(rig.cluster, 2, "writer", [&](App& self) -> Task<void> {
+      PmLogDevice dev(cfg);
+      EXPECT_TRUE((co_await dev.Open(self)).ok());
+      for (int i = 0; i < 6; ++i) {
+        std::vector<std::byte> frame =
+            MakeFrame(600, static_cast<std::uint8_t>(i + 1));
+        EXPECT_TRUE((co_await dev.Append(self, frame)).ok());
+        acked.insert(acked.end(), frame.begin(), frame.end());
+      }
+      rig.cluster.fabric().SetCorruptionRate(0.3);
+      wrap_st = co_await dev.Append(self, wrap);
+      rig.cluster.fabric().SetCorruptionRate(0);
+    });
+    rig.sim.RunFor(Seconds(5));
+    ASSERT_EQ(acked.size(), 6u * 608);
+    if (wrap_st.ok()) continue;
+
+    // Power loss: read the primary's region as recovery will see it.
+    const std::uint64_t first = kRing - acked.size();  // extent A
+    std::vector<std::byte> ring;
+    std::uint64_t tail = 0;
+    rig.sim.Adopt<App>(rig.cluster, 3, "inspect", [&](App& self) -> Task<void> {
+      pm::PmClient client(self, "$PMM");
+      auto region = co_await client.Open(cfg.region_name);
+      EXPECT_TRUE(region.ok()) << region.status().ToString();
+      if (!region.ok()) co_return;
+      auto raw = co_await region->Read(0, kDataBase + kRing);
+      EXPECT_TRUE(raw.ok());
+      if (!raw.ok()) co_return;
+      Deserializer d(*raw);
+      std::uint32_t magic = 0;
+      EXPECT_TRUE(d.GetU32(magic) && d.GetU64(tail));
+      ring.assign(raw->begin() + kDataBase, raw->end());
+    });
+    rig.sim.RunFor(Seconds(5));
+    ASSERT_EQ(ring.size(), kRing);
+    const auto matches = [&](std::uint64_t at,
+                             std::span<const std::byte> want) {
+      return std::equal(want.begin(), want.end(), ring.begin() + at);
+    };
+    const std::span<const std::byte> wrap_span(wrap);
+    const bool a_landed = matches(acked.size(), wrap_span.first(first));
+    if (tail != acked.size()) {
+      // The primary's chain landed whole; only the mirror tore.
+      EXPECT_EQ(tail, acked.size() + wrap.size());
+      EXPECT_TRUE(a_landed);
+      EXPECT_TRUE(matches(0, wrap_span.subspan(first)))
+          << "the control block covers an extent that never landed";
+      continue;
+    }
+    const std::uint64_t b_len = wrap.size() - first;
+    if (!matches(0, std::span<const std::byte>(acked).first(b_len))) {
+      continue;  // extent B overwrote the ring start: the history wrapped
+    }
+    if (a_landed) ++torn_after_extent_a;
+    std::vector<std::byte> img;
+    bool recovered = false;
+    rig.sim.Adopt<App>(rig.cluster, 3, "recover", [&](App& self) -> Task<void> {
+      PmLogDevice dev(cfg);
+      auto log = co_await dev.RecoverLog(self);
+      EXPECT_TRUE(log.ok()) << log.status().ToString();
+      if (!log.ok()) co_return;
+      img = std::move(*log);
+      EXPECT_EQ(dev.tail(), acked.size()) << "the previous tail";
+      recovered = true;
+    });
+    rig.sim.RunFor(Seconds(5));
+    ASSERT_TRUE(recovered);
+    EXPECT_EQ(img, acked) << "recovery must return exactly the acked prefix";
+  }
+  EXPECT_GE(torn_after_extent_a, 1)
+      << "no trial tore after extent A landed whole";
 }
 
 TEST(PmLogTornWrite, NothingAckedLiesPastAFailedConcurrentAppend) {
