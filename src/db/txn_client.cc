@@ -10,6 +10,20 @@ namespace ods::db {
 
 using sim::Task;
 
+namespace {
+
+// For a DP2 call that may wait on a record lock: the per-attempt timeout
+// exceeds the DP2's lock-wait timeout so a lock-conflict verdict
+// (kAborted) reaches the caller instead of an RPC retry.
+nsk::CallOptions LockWaitCall() {
+  nsk::CallOptions opts;
+  opts.timeout = sim::Seconds(2);
+  opts.max_attempts = 4;
+  return opts;
+}
+
+}  // namespace
+
 Task<Result<Transaction>> TxnClient::Begin() {
   auto r = co_await host_->Call(tmf_service_, tp::kTmfBegin, {});
   if (!r.ok()) co_return r.status();
@@ -34,13 +48,8 @@ Task<Status> TxnClient::Insert(Transaction& txn, std::uint32_t file,
   s.PutBlob(value);
   txn.dp2s.insert(route.dp2_service);
   txn.adps.insert(route.adp_service);
-  // The per-attempt timeout must exceed the DP2's lock-wait timeout so a
-  // lock-conflict verdict (kAborted) reaches us instead of an RPC retry.
-  nsk::CallOptions opts;
-  opts.timeout = sim::Seconds(2);
-  opts.max_attempts = 4;
   auto r = co_await host_->Call(route.dp2_service, tp::kDp2Insert,
-                                std::move(s).Take(), opts);
+                                std::move(s).Take(), LockWaitCall());
   if (!r.ok()) co_return r.status();
   co_return r->status;
 }
@@ -75,7 +84,7 @@ Task<Result<std::vector<std::byte>>> TxnClient::Read(Transaction& txn,
   s.PutU64(key);
   txn.dp2s.insert(route.dp2_service);
   auto r = co_await host_->Call(route.dp2_service, tp::kDp2Read,
-                                std::move(s).Take());
+                                std::move(s).Take(), LockWaitCall());
   if (!r.ok()) co_return r.status();
   if (!r->status.ok()) co_return r->status;
   co_return std::move(r->payload);

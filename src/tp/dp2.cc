@@ -372,13 +372,6 @@ Task<void> Dp2Process::HandleRequest(Request req) {
     case kDp2Resolve:
       co_await HandleResolve(req);
       break;
-    case kDp2Stats: {
-      Serializer s;
-      s.PutU64(inserts_);
-      s.PutU64(static_cast<std::uint64_t>(table_.size()));
-      req.Respond(OkStatus(), std::move(s).Take());
-      break;
-    }
     default:
       req.Respond(Status(ErrorCode::kInvalidArgument, "unknown DP2 request"));
   }

@@ -21,7 +21,6 @@ inline constexpr std::uint32_t kDp2Insert = 0x310;
 inline constexpr std::uint32_t kDp2Read = 0x311;
 inline constexpr std::uint32_t kDp2Update = 0x312;
 inline constexpr std::uint32_t kDp2Resolve = 0x313;  // commit/abort fanout
-inline constexpr std::uint32_t kDp2Stats = 0x314;
 inline constexpr std::uint32_t kDp2Scan = 0x315;  // shared-lock range scan
 
 // ADP (audit data process / log writer)

@@ -10,9 +10,10 @@ as heredoc python snippets inside .github/workflows/ci.yml):
               counter in LAYER_COUNTERS and an adp.<trail>.flush_latency_ns
               histogram, all nonzero — a refactor that drops one fails.
   scaleout    BENCH_scaleout.json schema + shard-speedup gate against the
-              checked-in baseline (bench/scaleout_baseline.json) + host
+              checked-in baseline (bench/scaleout_baseline.json), a floor
+              on the 4-shard max-fleet cell's own txn/s, and a host
               memory gate: peak_rss_mb may not exceed the baseline's
-              peak_rss_mb_ceiling (its measured peak x 1.15).
+              peak_rss_mb_ceiling.
   durability  BENCH_durability_modes.json schema: all four durability
               modes x boxcar sizes, persist-op accounting consistent with
               each mode (posted-write-only performs none), and a
@@ -122,7 +123,15 @@ def check_scaleout(bench_dir, baseline_dir):
         f"4-shard/1-shard committed txn/s ratio: {got:.2f}x "
         f"(baseline {want:.2f}x, floor {floor:.2f}x)"
     )
-    assert got >= floor, "4-shard scale-out regressed vs baseline"
+    assert got >= floor, "4-shard/1-shard ratio fell vs baseline"
+    # The ratio moves with the 1-shard cell too (a 1-shard gain lowers
+    # it), so the 4-shard max-fleet cell is also gated on its own
+    # throughput. The allowance covers the cell's bistable group-commit
+    # batch size (~9% between arrival seeds).
+    got_4s = cell(cur, 4)
+    floor_4s = cell(base, 4) * 0.85
+    print(f"4-shard committed txn/s: {got_4s:.0f} (floor {floor_4s:.0f})")
+    assert got_4s >= floor_4s, "4-shard scale-out regressed vs baseline"
     # The unsharded configuration must not slow down either: the small
     # fleet (closed-load-level) cell is shard-independent.
     small_1s = [
