@@ -20,6 +20,10 @@ namespace {
 constexpr sim::SimDuration kCommitCpu = sim::Microseconds(30);
 // Size of the PM region holding the TCB trail (pm_tcb).
 constexpr std::uint64_t kTcbRegionBytes = 4 << 20;
+// Outcome flushes per trail before a commit is answered in doubt, and the
+// pause before each re-send.
+constexpr int kFlushAttempts = 3;
+constexpr sim::SimDuration kFlushRetryBackoff = sim::Milliseconds(50);
 
 // TCB log entries (both the backup checkpoint and the PM TCB trail use
 // the same encoding): [txn u64][state u32].
@@ -104,35 +108,47 @@ Task<Status> TmfProcess::NoteState(std::uint64_t txn, TxnState state) {
   co_return recorded;
 }
 
-Task<Status> TmfProcess::FlushAudit(const std::vector<std::string>& adps,
+Task<Status> TmfProcess::FlushAudit(std::vector<std::string> adps,
                                     std::vector<std::byte> outcome_payload) {
-  if (adps.empty()) co_return OkStatus();
-  auto latch = std::make_shared<sim::Latch>(sim(), static_cast<int>(adps.size()));
-  auto statuses = std::make_shared<std::vector<Status>>(adps.size());
-  for (std::size_t i = 0; i < adps.size(); ++i) {
-    // The outcome record rides EVERY participating trail: each database
-    // writer recovers from its own trail and must be able to prove the
-    // transaction's outcome there.
-    std::vector<std::byte> payload = outcome_payload;
-    SpawnFiber([](TmfProcess& self, std::string adp,
-                  std::vector<std::byte> body,
-                  std::shared_ptr<sim::Latch> done,
-                  std::shared_ptr<std::vector<Status>> out,
-                  std::size_t slot) -> Task<void> {
-      // The flush RPC's deadline follows the commit-resolution budget:
-      // with a raised resolve_timeout (saturation sweeps) a queued flush
-      // waits out the group-commit backlog instead of timing out and
-      // aborting a transaction whose audit bytes were already paid for.
-      nsk::CallOptions opts;
-      opts.timeout = self.config_.resolve_timeout;
-      auto r = co_await self.Call(adp, kAdpFlush, std::move(body), opts);
-      (*out)[slot] = r.ok() ? r->status : r.status();
-      done->Arrive();
-    }(*this, adps[i], std::move(payload), latch, statuses, i));
-  }
-  co_await latch->Wait(*this);
-  for (const Status& st : *statuses) {
-    if (!st.ok()) co_return st;
+  Status failed;
+  for (int attempt = 0; !adps.empty(); ++attempt) {
+    if (attempt == kFlushAttempts) co_return failed;
+    if (attempt > 0) co_await Sleep(kFlushRetryBackoff);
+    auto latch =
+        std::make_shared<sim::Latch>(sim(), static_cast<int>(adps.size()));
+    auto statuses = std::make_shared<std::vector<Status>>(adps.size());
+    for (std::size_t i = 0; i < adps.size(); ++i) {
+      // The outcome record rides EVERY participating trail: each database
+      // writer recovers from its own trail and must be able to prove the
+      // transaction's outcome there.
+      std::vector<std::byte> payload = outcome_payload;
+      SpawnFiber([](TmfProcess& self, std::string adp,
+                    std::vector<std::byte> body,
+                    std::shared_ptr<sim::Latch> done,
+                    std::shared_ptr<std::vector<Status>> out,
+                    std::size_t slot) -> Task<void> {
+        // The flush RPC's deadline follows the commit-resolution budget:
+        // with a raised resolve_timeout (saturation sweeps) a queued flush
+        // waits out the group-commit backlog instead of timing out.
+        nsk::CallOptions opts;
+        opts.timeout = self.config_.resolve_timeout;
+        auto r = co_await self.Call(adp, kAdpFlush, std::move(body), opts);
+        (*out)[slot] = r.ok() ? r->status : r.status();
+        done->Arrive();
+      }(*this, adps[i], std::move(payload), latch, statuses, i));
+    }
+    co_await latch->Wait(*this);
+    // A trail whose flush failed is flushed again with its outcome record
+    // re-sent: the first copy may never have been buffered (the reply
+    // was lost, or the primary died before checkpointing it), and a
+    // second copy of the same outcome changes nothing.
+    std::vector<std::string> again;
+    for (std::size_t i = 0; i < adps.size(); ++i) {
+      if ((*statuses)[i].ok()) continue;
+      failed = (*statuses)[i];
+      again.push_back(std::move(adps[i]));
+    }
+    adps = std::move(again);
   }
   co_return OkStatus();
 }
@@ -188,11 +204,13 @@ Task<void> TmfProcess::HandleCommit(Request& req) {
                  st.ok() ? 1 : 0);
   }
   if (!st.ok()) {
-    (void)co_await NoteState(txn, TxnState::kAborted);
-    ResolveFanout(txn, false, dp2s);
-    aborts_->Increment();
-    req.Respond(Status(ErrorCode::kAborted,
-                       "audit flush failed: " + st.ToString()));
+    // Past kCommitting the outcome is no longer ours to choose: some
+    // trails may hold the commit record durably, and a trail whose append
+    // failed keeps it buffered for its next append. Answer in doubt and
+    // leave the transaction committing, its locks held.
+    req.Respond(Status(ErrorCode::kUnavailable,
+                       "commit in doubt: audit flush failed: " +
+                           st.ToString()));
     if (tr != nullptr && tr->enabled()) {
       tr->AsyncEnd(TraceLane::kTmf, "txn.commit", sim().Now().ns, txn);
     }
@@ -219,6 +237,15 @@ Task<void> TmfProcess::HandleAbort(Request& req) {
   std::vector<std::string> adps, dp2s;
   if (!ParseParticipants(d, txn, adps, dp2s)) {
     req.Respond(Status(ErrorCode::kInvalidArgument, "bad abort payload"));
+    co_return;
+  }
+  // Once its commit has started, a transaction can no longer be aborted:
+  // its commit record may already be durable.
+  const auto it = tcbs_.find(txn);
+  if (it != tcbs_.end() && (it->second == TxnState::kCommitting ||
+                            it->second == TxnState::kCommitted)) {
+    req.Respond(Status(ErrorCode::kFailedPrecondition,
+                       "transaction is committing"));
     co_return;
   }
   (void)co_await NoteState(txn, TxnState::kAborted);

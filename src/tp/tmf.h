@@ -8,7 +8,9 @@
 //   1. TCB -> committing (checkpointed; optionally persisted to PM),
 //   2. flush every involved ADP in parallel, plus the master ADP
 //      (appended last to the list when no participant logs to it) — the
-//      commit record rides every one of those flushes,
+//      commit record rides every one of those flushes; a failed flush is
+//      re-sent, and one that never lands leaves the transaction
+//      committing and the client answered in doubt (never aborted),
 //   3. TCB -> committed, reply to the client,
 //   4. resolve fanout to the involved DP2s (release locks, undo drop).
 //
@@ -88,9 +90,10 @@ class TmfProcess : public nsk::PairMember {
   sim::Task<Status> NoteState(std::uint64_t txn, TxnState state);
 
   // Flushes all `adps` in parallel; the commit/abort record
-  // `outcome_payload` rides every one of those flushes. Returns the first
-  // failure, if any.
-  sim::Task<Status> FlushAudit(const std::vector<std::string>& adps,
+  // `outcome_payload` rides every one of those flushes. A trail whose
+  // flush fails is flushed again, up to kFlushAttempts in all. Returns
+  // the last failure if some trail never succeeded.
+  sim::Task<Status> FlushAudit(std::vector<std::string> adps,
                                std::vector<std::byte> outcome_payload);
 
   void ResolveFanout(std::uint64_t txn, bool committed,

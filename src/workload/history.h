@@ -5,11 +5,11 @@
 //   * an ACKED commit is durable: every key it last wrote reads back
 //     with its value;
 //   * a DEFINITE ABORT is never visible: a transaction that never sent
-//     its commit (explicitly aborted, or left open when its driver died)
-//     shows none of its values;
+//     its commit (explicitly aborted, or left open when its driver died),
+//     or whose commit was answered kAborted, shows none of its values;
 //   * an IN-DOUBT commit is all-or-nothing: a transaction whose commit was
-//     sent but not acked (the reply failed, or never came) shows either
-//     all of its values or none.
+//     sent but neither acked nor answered kAborted (another error, or no
+//     reply) shows either all of its values or none.
 //
 // A harness records as it runs — Begin, then Write before each Insert is
 // sent, then Commit through the history — and calls Check once recovery
@@ -48,8 +48,9 @@ class History {
              std::vector<std::byte> value);
 
   // Sends `txn`'s commit through `client`. From the send on, `t` is
-  // in-doubt; it becomes acked only when the reply is ok. A transaction
-  // that never gets here is a definite abort.
+  // in-doubt; it becomes acked only when the reply is ok, and a definite
+  // abort when the reply is kAborted. A transaction that never gets here
+  // is a definite abort.
   sim::Task<Status> Commit(std::size_t t, db::TxnClient& client,
                            db::Transaction& txn);
 

@@ -145,8 +145,10 @@ TEST_F(TmfAdpFixture, TxnIdsAreMonotonic) {
 }
 
 TEST_F(TmfAdpFixture, CommitFailsCleanlyWhenAuditUnavailable) {
-  // Kill BOTH members of an ADP pair: transactions that logged there
-  // must abort at commit, and the abort must leave the store consistent.
+  // Kill BOTH members of an ADP pair: a transaction that logged there
+  // cannot commit. Its commit record may be durable on the other trail,
+  // so the TMF answers it in doubt and keeps it committing: it is neither
+  // aborted nor undone, an abort is refused, and its writes stay locked.
   Start(false);
   RunApp([&](App& self) -> Task<void> {
     TxnClient client(self, rig->catalog());
@@ -165,12 +167,15 @@ TEST_F(TmfAdpFixture, CommitFailsCleanlyWhenAuditUnavailable) {
     if (auto* peer = rig->adps()[1]->peer(); peer != nullptr) peer->Kill();
     auto st = co_await client.Commit(*txn);
     EXPECT_FALSE(st.ok()) << "commit must not succeed without its audit";
-    EXPECT_EQ(rig->tmf().StateOf(txn->id), TxnState::kAborted);
-    // The aborted writes must be invisible.
+    EXPECT_EQ(st.code(), ErrorCode::kUnavailable) << st.ToString();
+    EXPECT_EQ(rig->tmf().StateOf(txn->id), TxnState::kCommitting);
+    EXPECT_EQ((co_await client.Abort(*txn)).code(),
+              ErrorCode::kFailedPrecondition);
+    // A reader times out on the in-doubt transaction's lock.
     auto check = co_await client.Begin();
     EXPECT_TRUE(check.ok());
     auto cv = co_await client.Read(*check, 0, 1);
-    EXPECT_EQ(cv.status().code(), ErrorCode::kNotFound);
+    EXPECT_EQ(cv.status().code(), ErrorCode::kAborted);
   });
 }
 
